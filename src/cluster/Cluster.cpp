@@ -7,7 +7,6 @@
 #include "cluster/Cluster.h"
 
 #include "prof/Profiler.h"
-#include "race/Bridge.h"
 #include "race/Race.h"
 #include "support/Error.h"
 #include "support/Format.h"
@@ -18,14 +17,26 @@
 using namespace fcl;
 using namespace fcl::cluster;
 
+std::string ClusterConfig::validate() const {
+  if (Workers < 1 || Workers > 64)
+    return formatString("--workers must be in [1, 64] (got %d)", Workers);
+  if (Quantum <= Duration::zero())
+    return formatString("--quantum-ms must be > 0 (got %g)",
+                        Quantum.toMillis());
+  if (LinkLatency < Duration::zero())
+    return formatString("--link-us must be >= 0 (got %g)",
+                        LinkLatency.toMicros());
+  if (Worker.Arrival.Kind == serve::ArrivalKind::Closed)
+    return "--arrival=closed:* is not supported by the cluster (think "
+           "loops would couple worker clocks)";
+  return Worker.validate();
+}
+
 Cluster::Cluster(ClusterConfig C)
     : Cfg(std::move(C)), Barrier(Cfg.Workers),
       MasterRng(serve::StreamGen::mixSeed(Cfg.Worker.Seed, 1 << 20)) {
-  FCL_CHECK(Cfg.Workers >= 1 && Cfg.Workers <= 64,
-            "cluster worker count out of range");
-  FCL_CHECK(Cfg.Quantum > Duration::zero(), "cluster quantum must be > 0");
-  FCL_CHECK(Cfg.Worker.Arrival.Kind != serve::ArrivalKind::Closed,
-            "closed-loop arrivals would couple worker clocks");
+  std::string Invalid = Cfg.validate();
+  FCL_CHECK(Invalid.empty(), Invalid.c_str());
   Templates = serve::jobTemplates(Cfg.Worker.Mix);
   JobsObj = "cluster.jobs";
   for (int I = 0; I < Cfg.Workers; ++I) {
@@ -278,26 +289,31 @@ ClusterReport Cluster::run() {
   for (std::thread &T : Threads)
     T.join();
 
-  // Collect race findings before engine teardown so the destructors (and
-  // the trace merge below) run unanalyzed, mirroring serve::Engine::run.
-  if (RacesOn) {
-    A.setEnabled(false);
-    check::DiagSink Sink(check::Policy::Warn);
-    race::reportFindings(A.takeFindings(), Sink);
-    RaceFindingsN = Sink.diags().size();
-    for (const check::Diag &D : Sink.diags())
-      RaceDiagLines.push_back(D.str());
+  // Fill the shared report fields - collecting race findings first - before
+  // engine teardown, so the destructors (and the trace merge below) run
+  // unanalyzed, mirroring serve::Engine::run.
+  ClusterReport Rep;
+  {
+    std::vector<double> QueueMs, ServiceMs, E2eMs;
+    for (const ClusterJobRecord &J : Jobs) {
+      if (!J.Done)
+        continue;
+      QueueMs.push_back(J.queueWaitMs());
+      ServiceMs.push_back(J.serviceMs());
+      E2eMs.push_back(J.e2eMs());
+    }
+    serve::fillReportCore(Rep, Cfg.Worker, QueueMs, ServiceMs, E2eMs);
   }
 
   std::vector<serve::ServeReport> WReps;
   WReps.reserve(Workers.size());
   for (auto &W : Workers) {
     serve::ServeReport R = W->Eng->finishExternal();
-    CheckErrorsN += R.CheckErrors;
-    CheckWarningsN += R.CheckWarnings;
+    Rep.CheckErrors += R.CheckErrors;
+    Rep.CheckWarnings += R.CheckWarnings;
     for (const std::string &L : R.CheckDiags)
-      CheckDiagLines.push_back(formatString("w%d: %s", W->Index, L.c_str()));
-    ValidationFailuresN += R.ValidationFailures;
+      Rep.CheckDiags.push_back(formatString("w%d: %s", W->Index, L.c_str()));
+    Rep.ValidationFailures += R.ValidationFailures;
     WReps.push_back(std::move(R));
   }
 
@@ -308,41 +324,21 @@ ClusterReport Cluster::run() {
 
   for (const ClusterJobRecord &J : Jobs)
     FCL_CHECK(J.Done || J.Rejected, "cluster job lost in flight");
-  return finalize(WReps);
+  finalize(Rep, WReps);
+  return Rep;
 }
 
-ClusterReport Cluster::finalize(const std::vector<serve::ServeReport> &WReps) {
-  ClusterReport Rep;
+void Cluster::finalize(ClusterReport &Rep,
+                       const std::vector<serve::ServeReport> &WReps) {
   Rep.Workers = Cfg.Workers;
   Rep.PlacementName = placementName(Cfg.Place);
   Rep.Steal = Cfg.Steal;
-  Rep.PolicyName = serve::policyName(Cfg.Worker.P);
-  Rep.ArrivalDesc = Cfg.Worker.Arrival.str();
-  Rep.Mix = serve::mixName(Cfg.Worker.Mix);
-  Rep.Machine = Cfg.Worker.MachineName;
-  Rep.Seed = Cfg.Worker.Seed;
-  Rep.Streams = Cfg.Worker.Streams;
-  Rep.QueueDepth = Cfg.Worker.QueueDepth;
-  Rep.LargeThreshold = Cfg.Worker.LargeThreshold;
-  Rep.HorizonMs = Cfg.Worker.Horizon.toMillis();
   Rep.QuantumMs = Cfg.Quantum.toMillis();
   Rep.LinkLatencyUs = Cfg.LinkLatency.toMicros();
   Rep.Submitted = Jobs.size();
   Rep.Rejected = RejectedN;
   Rep.Completed = CompletedN;
   Rep.Stolen = StolenN;
-
-  std::vector<double> QueueMs, ServiceMs, E2eMs;
-  for (const ClusterJobRecord &J : Jobs) {
-    if (!J.Done)
-      continue;
-    QueueMs.push_back(J.queueWaitMs());
-    ServiceMs.push_back(J.serviceMs());
-    E2eMs.push_back(J.e2eMs());
-  }
-  Rep.QueueWait = serve::summarizeLatency(QueueMs);
-  Rep.Service = serve::summarizeLatency(ServiceMs);
-  Rep.E2e = serve::summarizeLatency(E2eMs);
   Rep.MakespanMs = LastEnd.toSeconds() * 1e3;
   if (Rep.MakespanMs > 0)
     Rep.ThroughputJps = static_cast<double>(CompletedN) /
@@ -370,22 +366,6 @@ ClusterReport Cluster::finalize(const std::vector<serve::ServeReport> &WReps) {
     S.E2e = serve::summarizeLatency(W.E2eMs);
     Rep.PerWorker.push_back(S);
   }
-
-  Rep.SloChecked = Cfg.Worker.SloMs > 0;
-  Rep.SloMs = Cfg.Worker.SloMs;
-  if (Rep.SloChecked)
-    for (double V : E2eMs)
-      if (V > Cfg.Worker.SloMs)
-        ++Rep.SloViolations;
-  Rep.Validated = Cfg.Worker.Validate;
-  Rep.ValidationFailures = ValidationFailuresN;
-  Rep.CheckEnabled = Cfg.Worker.FclOpts.Check != check::Policy::Off;
-  Rep.CheckErrors = CheckErrorsN;
-  Rep.CheckWarnings = CheckWarningsN;
-  Rep.CheckDiags = CheckDiagLines;
-  Rep.RacesEnabled = RacesOn;
-  Rep.RaceFindings = RaceFindingsN;
-  Rep.RaceDiags = RaceDiagLines;
 
   Rep.Stats.add("cluster_jobs_submitted", Rep.Submitted);
   Rep.Stats.add("cluster_jobs_rejected", Rep.Rejected);
@@ -431,5 +411,4 @@ ClusterReport Cluster::finalize(const std::vector<serve::ServeReport> &WReps) {
   }
 
   Rep.Jobs = Jobs;
-  return Rep;
 }

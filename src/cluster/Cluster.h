@@ -62,11 +62,16 @@ struct ClusterConfig {
   /// Per-worker serve configuration. Streams is the *cluster-wide* client
   /// stream count; arrivals are generated once by the master and sharded
   /// by placement. Closed-loop arrivals are not supported (the think loop
-  /// would couple worker clocks); parse errors aside, the tool rejects it.
+  /// would couple worker clocks); validate() rejects them.
   serve::EngineConfig Worker;
 
   /// Upper bound on fabric epochs, as a quiescence failsafe.
   uint64_t MaxEpochs = 1u << 22;
+
+  /// Range rules for the cluster fields, then Worker.validate(): empty
+  /// when valid, else a one-line message naming the tool option. The tool
+  /// prints it; Cluster's constructor FCL_CHECKs it.
+  std::string validate() const;
 };
 
 /// One Cluster instance runs one complete cluster experiment.
@@ -116,7 +121,8 @@ private:
   void drainOutboxes();
   void stealPass(TimePoint EpochStart);
   void workerMain(Worker &W);
-  ClusterReport finalize(const std::vector<serve::ServeReport> &WReps);
+  void finalize(ClusterReport &Rep,
+                const std::vector<serve::ServeReport> &WReps);
 
   ClusterConfig Cfg;
   std::vector<serve::JobTemplate> Templates;
@@ -139,14 +145,6 @@ private:
 
   /// fcl::race shadow objects for the master's own shared structures.
   std::string JobsObj;
-
-  // Aggregated fcl::check / fcl::race outcome.
-  uint64_t CheckErrorsN = 0;
-  uint64_t CheckWarningsN = 0;
-  std::vector<std::string> CheckDiagLines;
-  uint64_t RaceFindingsN = 0;
-  std::vector<std::string> RaceDiagLines;
-  uint64_t ValidationFailuresN = 0;
 };
 
 } // namespace cluster

@@ -11,148 +11,51 @@
 using namespace fcl;
 using namespace fcl::cluster;
 
-namespace {
-
-// All floats go through one fixed format so identical runs serialize to
-// identical bytes.
-std::string num(double V) { return formatString("%.6f", V); }
-
-std::string latencyJson(const serve::LatencySummary &S) {
-  return formatString(
-      "{\"p50\": %s, \"p95\": %s, \"p99\": %s, \"mean\": %s, \"max\": %s}",
-      num(S.P50).c_str(), num(S.P95).c_str(), num(S.P99).c_str(),
-      num(S.Mean).c_str(), num(S.Max).c_str());
-}
-
-} // namespace
+using serve::ReportFloat;
 
 std::string ClusterReport::toJson() const {
-  std::string J;
-  J += "{\n";
-  J += "  \"schema\": \"fcl-cluster-report-v1\",\n";
-  J += formatString("  \"workers\": %d,\n", Workers);
-  J += formatString("  \"placement\": \"%s\",\n",
-                    jsonEscape(PlacementName).c_str());
-  J += formatString("  \"steal\": %s,\n", Steal ? "true" : "false");
-  J += formatString("  \"policy\": \"%s\",\n", jsonEscape(PolicyName).c_str());
-  J += formatString("  \"arrival\": \"%s\",\n",
-                    jsonEscape(ArrivalDesc).c_str());
-  J += formatString("  \"mix\": \"%s\",\n", jsonEscape(Mix).c_str());
-  J += formatString("  \"machine\": \"%s\",\n", jsonEscape(Machine).c_str());
-  J += formatString("  \"seed\": %llu,\n",
-                    static_cast<unsigned long long>(Seed));
-  J += formatString("  \"streams\": %d,\n", Streams);
-  J += formatString("  \"queue_depth\": %d,\n", QueueDepth);
-  J += formatString("  \"large_threshold_groups\": %llu,\n",
-                    static_cast<unsigned long long>(LargeThreshold));
-  J += formatString("  \"horizon_ms\": %s,\n", num(HorizonMs).c_str());
-  J += formatString("  \"quantum_ms\": %s,\n", num(QuantumMs).c_str());
-  J += formatString("  \"link_latency_us\": %s,\n",
-                    num(LinkLatencyUs).c_str());
-  J += formatString("  \"submitted\": %llu,\n",
-                    static_cast<unsigned long long>(Submitted));
-  J += formatString("  \"rejected\": %llu,\n",
-                    static_cast<unsigned long long>(Rejected));
-  J += formatString("  \"completed\": %llu,\n",
-                    static_cast<unsigned long long>(Completed));
-  J += formatString("  \"stolen\": %llu,\n",
-                    static_cast<unsigned long long>(Stolen));
-  J += "  \"latency_ms\": {\n";
-  J += formatString("    \"queue_wait\": %s,\n",
-                    latencyJson(QueueWait).c_str());
-  J += formatString("    \"service\": %s,\n", latencyJson(Service).c_str());
-  J += formatString("    \"e2e\": %s\n", latencyJson(E2e).c_str());
-  J += "  },\n";
-  J += formatString("  \"makespan_ms\": %s,\n", num(MakespanMs).c_str());
-  J += formatString("  \"throughput_jps\": %s,\n",
-                    num(ThroughputJps).c_str());
-  J += "  \"fabric\": {\n";
-  J += formatString("    \"epochs\": %llu,\n",
-                    static_cast<unsigned long long>(Epochs));
-  J += formatString("    \"messages\": %llu,\n",
-                    static_cast<unsigned long long>(Messages));
-  J += formatString("    \"steals\": %llu,\n",
-                    static_cast<unsigned long long>(Steals));
-  J += formatString("    \"rebalance_epochs\": %llu\n",
-                    static_cast<unsigned long long>(RebalanceEpochs));
-  J += "  },\n";
-  J += "  \"per_worker\": [";
-  for (size_t I = 0; I < PerWorker.size(); ++I) {
-    const WorkerSummary &W = PerWorker[I];
-    J += formatString("%s\n    {\"worker\": %d, \"assigned\": %llu, "
-                      "\"completed\": %llu, \"rejected\": %llu, "
-                      "\"stolen_in\": %llu, \"stolen_out\": %llu, "
-                      "\"gpu_busy_ms\": %s, \"cpu_busy_ms\": %s, "
-                      "\"gpu_util\": %s, \"cpu_util\": %s, \"e2e\": %s}",
-                      I ? "," : "", W.Index,
-                      static_cast<unsigned long long>(W.Assigned),
-                      static_cast<unsigned long long>(W.Completed),
-                      static_cast<unsigned long long>(W.Rejected),
-                      static_cast<unsigned long long>(W.StolenIn),
-                      static_cast<unsigned long long>(W.StolenOut),
-                      num(W.GpuBusyMs).c_str(), num(W.CpuBusyMs).c_str(),
-                      num(W.GpuUtil).c_str(), num(W.CpuUtil).c_str(),
-                      latencyJson(W.E2e).c_str());
+  std::string Out;
+  JsonWriter W(Out);
+  W.object()
+      .str("schema", "fcl-cluster-report-v1")
+      .num("workers", Workers)
+      .str("placement", PlacementName)
+      .boolean("steal", Steal);
+  writeEchoJson(W);
+  W.num("quantum_ms", ReportFloat, QuantumMs)
+      .num("link_latency_us", ReportFloat, LinkLatencyUs);
+  writeCountsJson(W);
+  W.num("stolen", Stolen);
+  writeLatencyJson(W);
+  W.num("makespan_ms", ReportFloat, MakespanMs)
+      .num("throughput_jps", ReportFloat, ThroughputJps);
+  W.object("fabric")
+      .num("epochs", Epochs)
+      .num("messages", Messages)
+      .num("steals", Steals)
+      .num("rebalance_epochs", RebalanceEpochs)
+      .end();
+  W.array("per_worker");
+  for (const WorkerSummary &S : PerWorker) {
+    W.object(JsonWriter::Inline)
+        .num("worker", S.Index)
+        .num("assigned", S.Assigned)
+        .num("completed", S.Completed)
+        .num("rejected", S.Rejected)
+        .num("stolen_in", S.StolenIn)
+        .num("stolen_out", S.StolenOut)
+        .num("gpu_busy_ms", ReportFloat, S.GpuBusyMs)
+        .num("cpu_busy_ms", ReportFloat, S.CpuBusyMs)
+        .num("gpu_util", ReportFloat, S.GpuUtil)
+        .num("cpu_util", ReportFloat, S.CpuUtil);
+    serve::writeLatency(W, "e2e", S.E2e);
+    W.end();
   }
-  J += PerWorker.empty() ? "],\n" : "\n  ],\n";
-  J += "  \"slo\": {\n";
-  J += formatString("    \"checked\": %s,\n", SloChecked ? "true" : "false");
-  J += formatString("    \"slo_ms\": %s,\n", num(SloMs).c_str());
-  J += formatString("    \"violations\": %llu\n",
-                    static_cast<unsigned long long>(SloViolations));
-  J += "  },\n";
-  J += "  \"validation\": {\n";
-  J += formatString("    \"validated\": %s,\n", Validated ? "true" : "false");
-  J += formatString("    \"failures\": %llu\n",
-                    static_cast<unsigned long long>(ValidationFailures));
-  J += "  },\n";
-  // Analysis verdicts appear only when something was found: a clean
-  // --check/--races run must serialize to the same bytes as a plain run.
-  if (!CheckDiags.empty()) {
-    J += "  \"check\": {\n";
-    J += formatString("    \"errors\": %llu,\n",
-                      static_cast<unsigned long long>(CheckErrors));
-    J += formatString("    \"warnings\": %llu,\n",
-                      static_cast<unsigned long long>(CheckWarnings));
-    J += "    \"diags\": [";
-    for (size_t I = 0; I < CheckDiags.size(); ++I)
-      J += formatString("%s\n      \"%s\"", I ? "," : "",
-                        jsonEscape(CheckDiags[I]).c_str());
-    J += "\n    ]\n";
-    J += "  },\n";
-  }
-  if (!RaceDiags.empty()) {
-    J += "  \"races\": {\n";
-    J += formatString("    \"findings\": %llu,\n",
-                      static_cast<unsigned long long>(RaceFindings));
-    J += "    \"diags\": [";
-    for (size_t I = 0; I < RaceDiags.size(); ++I)
-      J += formatString("%s\n      \"%s\"", I ? "," : "",
-                        jsonEscape(RaceDiags[I]).c_str());
-    J += "\n    ]\n";
-    J += "  },\n";
-  }
-  J += "  \"stats\": {\n";
-  J += "    \"counters\": {";
-  bool First = true;
-  for (const auto &[Name, Value] : Stats.counters()) {
-    J += formatString("%s\n      \"%s\": %llu", First ? "" : ",",
-                      jsonEscape(Name).c_str(),
-                      static_cast<unsigned long long>(Value));
-    First = false;
-  }
-  J += First ? "},\n" : "\n    },\n";
-  J += "    \"gauges\": {";
-  First = true;
-  for (const auto &[Name, Value] : Stats.gauges()) {
-    J += formatString("%s\n      \"%s\": %s", First ? "" : ",",
-                      jsonEscape(Name).c_str(), num(Value).c_str());
-    First = false;
-  }
-  J += First ? "}\n" : "\n    }\n";
-  J += "  }\n";
-  J += "}\n";
-  return J;
+  W.end();
+  writeVerdictsJson(W);
+  writeAnalysisJson(W);
+  W.end();
+  return Out;
 }
 
 std::string ClusterReport::toText() const {
@@ -171,15 +74,7 @@ std::string ClusterReport::toText() const {
       static_cast<unsigned long long>(Stolen));
   T += formatString("makespan %.3f ms, throughput %.1f jobs/s\n", MakespanMs,
                     ThroughputJps);
-  auto Row = [](const char *Name, const serve::LatencySummary &S) {
-    return formatString(
-        "  %-11s p50 %9.3f  p95 %9.3f  p99 %9.3f  mean %9.3f  max %9.3f\n",
-        Name, S.P50, S.P95, S.P99, S.Mean, S.Max);
-  };
-  T += "latency (ms):\n";
-  T += Row("queue-wait", QueueWait);
-  T += Row("service", Service);
-  T += Row("e2e", E2e);
+  appendLatencyText(T);
   T += formatString(
       "fabric: epochs=%llu messages=%llu steals=%llu rebalance-epochs=%llu\n",
       static_cast<unsigned long long>(Epochs),
@@ -195,19 +90,7 @@ std::string ClusterReport::toText() const {
                       static_cast<unsigned long long>(W.StolenIn),
                       static_cast<unsigned long long>(W.StolenOut),
                       W.GpuUtil * 100, W.CpuUtil * 100);
-  if (SloChecked)
-    T += formatString("slo: %.3f ms -> %llu violation(s)\n", SloMs,
-                      static_cast<unsigned long long>(SloViolations));
-  if (Validated)
-    T += formatString("validation: %llu failure(s)\n",
-                      static_cast<unsigned long long>(ValidationFailures));
-  if (CheckEnabled)
-    T += formatString("check: %llu error(s), %llu warning(s)\n",
-                      static_cast<unsigned long long>(CheckErrors),
-                      static_cast<unsigned long long>(CheckWarnings));
-  if (RacesEnabled)
-    T += formatString("races: %llu finding(s)\n",
-                      static_cast<unsigned long long>(RaceFindings));
+  appendVerdictsText(T);
   return T;
 }
 
@@ -217,24 +100,21 @@ std::string ClusterReport::toCsv() const {
                   "service_ms,e2e_ms\n";
   for (const ClusterJobRecord &R : Jobs) {
     if (R.Rejected) {
-      C += formatString("%llu,%d,%s,%llu,%d,%d,%d,%d,1,%s,,,,,\n",
+      C += formatString("%llu,%d,%s,%llu,%d,%d,%d,%d,1,%.6f,,,,,\n",
                         static_cast<unsigned long long>(R.Id), R.Stream,
                         R.Workload.c_str(),
                         static_cast<unsigned long long>(R.MaxGroups),
                         R.Large ? 1 : 0, R.FirstWorker, R.Worker,
-                        R.Stolen ? 1 : 0,
-                        num(R.ArrivalAt.nanos() * 1e-6).c_str());
+                        R.Stolen ? 1 : 0, R.ArrivalAt.nanos() * 1e-6);
       continue;
     }
     C += formatString(
-        "%llu,%d,%s,%llu,%d,%d,%d,%d,0,%s,%s,%s,%s,%s,%s\n",
+        "%llu,%d,%s,%llu,%d,%d,%d,%d,0,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n",
         static_cast<unsigned long long>(R.Id), R.Stream, R.Workload.c_str(),
         static_cast<unsigned long long>(R.MaxGroups), R.Large ? 1 : 0,
-        R.FirstWorker, R.Worker, R.Stolen ? 1 : 0,
-        num(R.ArrivalAt.nanos() * 1e-6).c_str(),
-        num(R.StartAt.nanos() * 1e-6).c_str(),
-        num(R.EndAt.nanos() * 1e-6).c_str(), num(R.queueWaitMs()).c_str(),
-        num(R.serviceMs()).c_str(), num(R.e2eMs()).c_str());
+        R.FirstWorker, R.Worker, R.Stolen ? 1 : 0, R.ArrivalAt.nanos() * 1e-6,
+        R.StartAt.nanos() * 1e-6, R.EndAt.nanos() * 1e-6, R.queueWaitMs(),
+        R.serviceMs(), R.e2eMs());
   }
   return C;
 }

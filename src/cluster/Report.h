@@ -10,10 +10,9 @@
 /// transfer latency is part of its queue wait), per-worker utilization and
 /// steal/placement counters, and the fabric's epoch/message totals.
 ///
-/// Serializes to a deterministic JSON document ("fcl-cluster-report-v1"):
-/// map-ordered keys and fixed %.6f float formatting, exactly like the
-/// serve report, so the CI determinism gates can byte-diff two same-seed
-/// runs at any worker count.
+/// Serializes to a deterministic JSON document ("fcl-cluster-report-v1")
+/// through the same shared blocks as the serve report, so the CI
+/// determinism gates can byte-diff two same-seed runs at any worker count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +20,6 @@
 #define FCL_CLUSTER_REPORT_H
 
 #include "serve/Metrics.h"
-#include "stats/Registry.h"
 #include "support/SimTime.h"
 
 #include <cstdint>
@@ -71,37 +69,20 @@ struct ClusterJobRecord {
   double e2eMs() const { return (EndAt - ArrivalAt).toMillis(); }
 };
 
-/// Aggregate outcome of one cluster run.
-struct ClusterReport {
-  // Configuration echo.
+/// Aggregate outcome of one cluster run. The shared fields (configuration
+/// echo, cluster-level latency over completed jobs, SLO binding to cluster
+/// e2e, validation summed over workers, check/race verdicts) are in
+/// serve::ReportCore; per-worker stats gauges use zero-padded indices so
+/// the lexicographic map order matches worker order.
+struct ClusterReport : serve::ReportCore {
+  // Configuration echo beyond the shared one.
   int Workers = 0;
   std::string PlacementName;
   bool Steal = false;
-  std::string PolicyName; // Per-worker serve policy.
-  std::string ArrivalDesc;
-  std::string Mix;
-  std::string Machine;
-  uint64_t Seed = 0;
-  int Streams = 0;
-  int QueueDepth = 0; // Per worker.
-  uint64_t LargeThreshold = 0;
-  double HorizonMs = 0;
   double QuantumMs = 0;
   double LinkLatencyUs = 0;
 
-  // Job counts.
-  uint64_t Submitted = 0;
-  uint64_t Rejected = 0;
-  uint64_t Completed = 0;
   uint64_t Stolen = 0;
-
-  // Cluster-level latency over completed jobs (steal transfers count
-  // toward queue wait - the client doesn't care where the job ran).
-  serve::LatencySummary QueueWait;
-  serve::LatencySummary Service;
-  serve::LatencySummary E2e;
-
-  double MakespanMs = 0;
   double ThroughputJps = 0; // Completed / makespan (simulated seconds).
 
   // Fabric totals.
@@ -111,30 +92,6 @@ struct ClusterReport {
   uint64_t RebalanceEpochs = 0; // Epochs in which at least one steal ran.
 
   std::vector<WorkerSummary> PerWorker;
-
-  // SLO verdict (when an SLO was given); binds to cluster e2e.
-  bool SloChecked = false;
-  double SloMs = 0;
-  uint64_t SloViolations = 0;
-
-  // Functional-mode validation (summed over workers).
-  bool Validated = false;
-  uint64_t ValidationFailures = 0;
-
-  // fcl::check / fcl::race outcome. As in the serve report, the JSON
-  // emits these objects only when diagnostics exist, so a clean analyzed
-  // run serializes to the exact bytes of an unanalyzed one.
-  bool CheckEnabled = false;
-  uint64_t CheckErrors = 0;
-  uint64_t CheckWarnings = 0;
-  std::vector<std::string> CheckDiags;
-  bool RacesEnabled = false;
-  uint64_t RaceFindings = 0;
-  std::vector<std::string> RaceDiags;
-
-  /// Counter/gauge mirror (per-worker gauges use zero-padded indices so
-  /// the lexicographic map order matches worker order).
-  stats::Registry Stats;
 
   /// Every job in cluster submission order (rejected ones included).
   std::vector<ClusterJobRecord> Jobs;

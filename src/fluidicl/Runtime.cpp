@@ -13,6 +13,7 @@
 #include "support/Log.h"
 #include "trace/Tracer.h"
 
+#include <atomic>
 #include <cstring>
 
 using namespace fcl;
@@ -29,8 +30,11 @@ Runtime::Runtime(mcl::Context &Ctx, Options Opts)
   // The threading plan for multi-simulator work is one lock per runtime:
   // every API entry point and completion callback declares this section,
   // and the race analyzer checks all shared-state accesses stay inside it.
-  static uint64_t NextRaceId = 0;
-  RaceSec = "fcl.rt#" + std::to_string(NextRaceId++);
+  // Cluster workers build runtimes on their own threads, so the id counter
+  // is atomic: two runtimes sharing a name would look like one racy object.
+  static std::atomic<uint64_t> NextRaceId{0};
+  RaceSec = "fcl.rt#" +
+            std::to_string(NextRaceId.fetch_add(1, std::memory_order_relaxed));
   Versions.setRaceObject(RaceSec + ".versions");
   Pool.setRaceObject(RaceSec + ".pool");
   Diags.setStats(&Stats);

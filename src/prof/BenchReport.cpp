@@ -7,8 +7,7 @@
 #include "prof/BenchReport.h"
 
 #include "support/Format.h"
-
-#include <fstream>
+#include "support/Json.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -38,57 +37,33 @@ void BenchReport::attachProfile(const Snapshot &S, size_t N) {
 }
 
 std::string BenchReport::toJson() const {
-  std::string Out = "{\n";
-  Out += "  \"schema\": \"fcl-bench-report-v1\",\n";
-  Out += formatString("  \"name\": \"%s\",\n", jsonEscape(Name).c_str());
-  Out += formatString("  \"suite\": \"%s\",\n", jsonEscape(Suite).c_str());
-  Out += "  \"meta\": {";
-  bool First = true;
-  for (const auto &[K, V] : Meta) {
-    Out += formatString("%s\n    \"%s\": \"%s\"", First ? "" : ",",
-                        jsonEscape(K).c_str(), jsonEscape(V).c_str());
-    First = false;
-  }
-  Out += First ? "},\n" : "\n  },\n";
-  Out += "  \"metrics\": {";
-  First = true;
-  for (const auto &[K, V] : Metrics) {
-    Out += formatString("%s\n    \"%s\": %.9g", First ? "" : ",",
-                        jsonEscape(K).c_str(), V);
-    First = false;
-  }
-  Out += First ? "},\n" : "\n  },\n";
-  Out += formatString("  \"peak_rss_bytes\": %llu,\n",
-                      static_cast<unsigned long long>(PeakRss));
-  Out += "  \"profile\": [";
-  First = true;
-  for (const PhaseStats &P : Profile) {
-    Out += formatString(
-        "%s\n    {\"path\": \"%s\", \"count\": %llu, "
-        "\"inclusive_ms\": %.6f, \"exclusive_ms\": %.6f}",
-        First ? "" : ",", jsonEscape(P.Path).c_str(),
-        static_cast<unsigned long long>(P.Count), P.inclusiveMs(),
-        P.exclusiveMs());
-    First = false;
-  }
-  Out += First ? "],\n" : "\n  ],\n";
-  Out += "  \"counters\": {";
-  First = true;
-  for (const auto &[K, V] : Counters) {
-    Out += formatString("%s\n    \"%s\": %llu", First ? "" : ",",
-                        jsonEscape(K).c_str(),
-                        static_cast<unsigned long long>(V));
-    First = false;
-  }
-  Out += First ? "}\n" : "\n  }\n";
-  Out += "}\n";
+  std::string Out;
+  JsonWriter W(Out);
+  W.object()
+      .str("schema", "fcl-bench-report-v1")
+      .str("name", Name)
+      .str("suite", Suite)
+      .object("meta");
+  for (const auto &[K, V] : Meta)
+    W.str(K, V);
+  W.end().object("metrics");
+  for (const auto &[K, V] : Metrics)
+    W.num(K, "%.9g", V);
+  W.end().num("peak_rss_bytes", PeakRss).array("profile");
+  for (const PhaseStats &P : Profile)
+    W.object(JsonWriter::Inline)
+        .str("path", P.Path)
+        .num("count", P.Count)
+        .num("inclusive_ms", "%.6f", P.inclusiveMs())
+        .num("exclusive_ms", "%.6f", P.exclusiveMs())
+        .end();
+  W.end().object("counters");
+  for (const auto &[K, V] : Counters)
+    W.num(K, V);
+  W.end().end();
   return Out;
 }
 
 bool BenchReport::write(const std::string &Path) const {
-  std::ofstream F(Path, std::ios::binary);
-  if (!F)
-    return false;
-  F << toJson();
-  return static_cast<bool>(F);
+  return writeFile(Path, toJson());
 }

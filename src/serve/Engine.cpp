@@ -19,9 +19,25 @@
 using namespace fcl;
 using namespace fcl::serve;
 
+std::string EngineConfig::validate() const {
+  if (Streams < 1)
+    return formatString("--streams must be >= 1 (got %d)", Streams);
+  if (Horizon <= Duration::zero())
+    return formatString("--duration must be > 0 s (got %g)",
+                        Horizon.toSeconds());
+  if (QueueDepth < 1)
+    return formatString("--queue-depth must be >= 1 (got %d)", QueueDepth);
+  // A negative --threshold wraps to a huge unsigned count that would make
+  // every job small; no real job has 2^63 work-groups.
+  if (LargeThreshold > static_cast<uint64_t>(INT64_MAX))
+    return formatString("--threshold must be >= 0 (got %lld)",
+                        static_cast<long long>(LargeThreshold));
+  return "";
+}
+
 Engine::Engine(EngineConfig C) : Cfg(std::move(C)) {
-  FCL_CHECK(Cfg.Streams > 0, "need at least one stream");
-  FCL_CHECK(Cfg.QueueDepth > 0, "queue depth must be positive");
+  std::string Invalid = Cfg.validate();
+  FCL_CHECK(Invalid.empty(), Invalid.c_str());
   Templates = jobTemplates(Cfg.Mix);
   Ctx = std::make_unique<mcl::Context>(Cfg.M, Cfg.Mode);
   Ctx->setTracer(Cfg.Tracer);
@@ -452,7 +468,6 @@ TimePoint Engine::now() const { return Ctx->now(); }
 
 ServeReport Engine::finishExternal() {
   FCL_CHECK(Cfg.External, "finishExternal is for embedded engines");
-  collectAnalysis(/*IncludeRaces=*/false);
   ServeReport Report = finalize();
   for (auto &R : Requests)
     R->Exec.reset();
@@ -475,7 +490,6 @@ ServeReport Engine::run() {
   }
   // Drain everything: arrivals, jobs, trailing cooperative transfers.
   Ctx->simulator().run();
-  collectAnalysis(/*IncludeRaces=*/true);
   ServeReport Report = finalize();
   // Tear down executors only now, at top level: cooperative runtimes
   // FCL_CHECK their queues idle on destruction.
@@ -484,49 +498,62 @@ ServeReport Engine::run() {
   return Report;
 }
 
-void Engine::collectAnalysis(bool IncludeRaces) {
-  if (Cfg.FclOpts.Check != check::Policy::Off) {
-    for (auto &R : Requests) {
-      fluidicl::Runtime *RT = R->Exec ? R->Exec->fclRuntime() : nullptr;
-      if (!RT)
-        continue;
-      // Fires the run-finish invariants (scratch leaks, pool accounting)
-      // while the sink is still collectable; the destructor's finish() is
-      // then a no-op drain.
-      RT->finish();
-      const check::DiagSink &S = RT->diagSink();
-      CheckErrorsN += S.errorCount();
-      CheckWarningsN += S.warningCount();
-      for (const check::Diag &D : S.diags())
-        CheckDiagLines.push_back(D.str());
-    }
-  }
-  if (IncludeRaces && Cfg.Races != check::Policy::Off) {
-    race::Analyzer &A = race::Analyzer::instance();
-    A.setEnabled(false);
+void fcl::serve::fillReportCore(ReportCore &R, const EngineConfig &Cfg,
+                                const std::vector<double> &QueueMs,
+                                const std::vector<double> &ServiceMs,
+                                const std::vector<double> &E2eMs) {
+  R.RacesEnabled = Cfg.Races != check::Policy::Off;
+  if (!Cfg.External && R.RacesEnabled) {
     check::DiagSink Sink(check::Policy::Warn);
-    race::reportFindings(A.takeFindings(), Sink);
-    RaceFindingsN = Sink.diags().size();
+    race::disarmAnalyzer(Sink);
+    R.RaceFindings = Sink.diags().size();
     for (const check::Diag &D : Sink.diags())
-      RaceDiagLines.push_back(D.str());
+      R.RaceDiags.push_back(D.str());
+  }
+  R.PolicyName = policyName(Cfg.P);
+  R.ArrivalDesc = Cfg.Arrival.str();
+  R.Mix = mixName(Cfg.Mix);
+  R.Machine = Cfg.MachineName;
+  R.Seed = Cfg.Seed;
+  R.Streams = Cfg.Streams;
+  R.QueueDepth = Cfg.QueueDepth;
+  R.LargeThreshold = Cfg.LargeThreshold;
+  R.HorizonMs = Cfg.Horizon.toMillis();
+  R.QueueWait = summarizeLatency(QueueMs);
+  R.Service = summarizeLatency(ServiceMs);
+  R.E2e = summarizeLatency(E2eMs);
+  R.SloChecked = Cfg.SloMs > 0;
+  R.SloMs = Cfg.SloMs;
+  if (R.SloChecked)
+    for (double V : E2eMs)
+      if (V > Cfg.SloMs)
+        ++R.SloViolations;
+  R.Validated = Cfg.Validate && Cfg.Mode == mcl::ExecMode::Functional;
+  R.CheckEnabled = Cfg.FclOpts.Check != check::Policy::Off;
+}
+
+void Engine::collectChecks(ServeReport &Rep) {
+  if (Cfg.FclOpts.Check == check::Policy::Off)
+    return;
+  for (auto &R : Requests) {
+    fluidicl::Runtime *RT = R->Exec ? R->Exec->fclRuntime() : nullptr;
+    if (!RT)
+      continue;
+    // Fires the run-finish invariants (scratch leaks, pool accounting)
+    // while the sink is still collectable; the destructor's finish() is
+    // then a no-op drain.
+    RT->finish();
+    const check::DiagSink &S = RT->diagSink();
+    Rep.CheckErrors += S.errorCount();
+    Rep.CheckWarnings += S.warningCount();
+    for (const check::Diag &D : S.diags())
+      Rep.CheckDiags.push_back(D.str());
   }
 }
 
 ServeReport Engine::finalize() {
   ServeReport Rep;
-  Rep.PolicyName = policyName(Cfg.P);
-  Rep.ArrivalDesc = Cfg.Arrival.str();
-  Rep.Mix = mixName(Cfg.Mix);
-  Rep.Machine = Cfg.MachineName;
-  Rep.Seed = Cfg.Seed;
-  Rep.Streams = Cfg.Streams;
-  Rep.QueueDepth = Cfg.QueueDepth;
-  Rep.LargeThreshold = Cfg.LargeThreshold;
-  Rep.HorizonMs = Cfg.Horizon.toMillis();
-  Rep.Submitted = Submitted;
-  Rep.Rejected = RejectedN;
-  Rep.Completed = CompletedN;
-
+  collectChecks(Rep);
   std::vector<double> QueueMs, ServiceMs, E2eMs, SmallMs, LargeMs;
   for (const auto &R : Requests) {
     RequestRecord Rec;
@@ -550,12 +577,11 @@ ServeReport Engine::finalize() {
     ServiceMs.push_back(Rec.serviceMs());
     E2eMs.push_back(Rec.e2eMs());
     (R->Large ? LargeMs : SmallMs).push_back(Rec.e2eMs());
-    if (Cfg.SloMs > 0 && Rec.e2eMs() > Cfg.SloMs)
-      ++Rep.SloViolations;
   }
-  Rep.QueueWait = summarizeLatency(QueueMs);
-  Rep.Service = summarizeLatency(ServiceMs);
-  Rep.E2e = summarizeLatency(E2eMs);
+  fillReportCore(Rep, Cfg, QueueMs, ServiceMs, E2eMs);
+  Rep.Submitted = Submitted;
+  Rep.Rejected = RejectedN;
+  Rep.Completed = CompletedN;
   Rep.SmallE2e = summarizeLatency(SmallMs);
   Rep.LargeE2e = summarizeLatency(LargeMs);
   Rep.SmallCompleted = SmallMs.size();
@@ -588,17 +614,7 @@ ServeReport Engine::finalize() {
     Rep.DagTransfersSkipped = DagTotals.TransfersSkipped;
     Rep.DagBytesSaved = DagTotals.BytesSaved;
   }
-  Rep.SloChecked = Cfg.SloMs > 0;
-  Rep.SloMs = Cfg.SloMs;
-  Rep.Validated = Cfg.Validate && Cfg.Mode == mcl::ExecMode::Functional;
   Rep.ValidationFailures = ValidationFailuresN;
-  Rep.CheckEnabled = Cfg.FclOpts.Check != check::Policy::Off;
-  Rep.CheckErrors = CheckErrorsN;
-  Rep.CheckWarnings = CheckWarningsN;
-  Rep.CheckDiags = CheckDiagLines;
-  Rep.RacesEnabled = Cfg.Races != check::Policy::Off;
-  Rep.RaceFindings = RaceFindingsN;
-  Rep.RaceDiags = RaceDiagLines;
 
   // Mirror into the fcl::stats registry (the observability view; the
   // tool's --stats-json embeds it verbatim).
@@ -628,12 +644,12 @@ ServeReport Engine::finalize() {
   }
   // Analysis counters only when something was found: a clean analyzed run
   // must keep the exact bytes of an unanalyzed one.
-  if (CheckErrorsN || CheckWarningsN) {
-    St.add("serve_check_errors", CheckErrorsN);
-    St.add("serve_check_warnings", CheckWarningsN);
+  if (Rep.CheckErrors || Rep.CheckWarnings) {
+    St.add("serve_check_errors", Rep.CheckErrors);
+    St.add("serve_check_warnings", Rep.CheckWarnings);
   }
-  if (RaceFindingsN)
-    St.add("serve_race_findings", RaceFindingsN);
+  if (Rep.RaceFindings)
+    St.add("serve_race_findings", Rep.RaceFindings);
   St.set("serve_e2e_p50_ms", Rep.E2e.P50);
   St.set("serve_e2e_p95_ms", Rep.E2e.P95);
   St.set("serve_e2e_p99_ms", Rep.E2e.P99);

@@ -84,7 +84,24 @@ struct EngineConfig {
   /// epoch quanta (advanceTo) and collects results via the outcome hook.
   /// run() must not be called; the master calls finishExternal() instead.
   bool External = false;
+
+  /// Range rules for every field a user sets: empty when the configuration
+  /// is valid, else a one-line message naming the tool option. The tools
+  /// print it; Engine's constructor FCL_CHECKs it.
+  std::string validate() const;
 };
+
+/// Fills the report fields every tier shares from \p Cfg and the completed
+/// jobs' latency samples (ms): the configuration echo, latency summaries,
+/// SLO verdict and analysis switches. For a top-level run (not External)
+/// with races armed it first stops the fcl::race analyzer and renders its
+/// findings into \p R, so call it before any teardown the analyzer must not
+/// observe; the cluster master collects them for its embedded workers.
+/// Counts, makespan, validation and check diagnostics are the caller's.
+void fillReportCore(ReportCore &R, const EngineConfig &Cfg,
+                    const std::vector<double> &QueueMs,
+                    const std::vector<double> &ServiceMs,
+                    const std::vector<double> &E2eMs);
 
 /// What the cluster master needs to re-inject a stolen queued job into
 /// another worker's engine.
@@ -197,11 +214,9 @@ private:
   Req *takeFirst(bool WantLarge);
   Req *popHead();
   void sampleQueueDepth();
-  /// Drains per-job runtime check diagnostics and (unless the cluster
-  /// collects them centrally) fcl::race findings into the aggregate
-  /// members below (called after the simulator is idle, before executors
-  /// are torn down).
-  void collectAnalysis(bool IncludeRaces);
+  /// Drains per-job runtime check diagnostics into \p Rep (called after
+  /// the simulator is idle, before executors are torn down).
+  void collectChecks(ServeReport &Rep);
   void emitOutcome(Req *R);
   ServeReport finalize();
 
@@ -254,13 +269,6 @@ private:
   std::string GpuLeaseName;
   std::string CpuLeaseName;
   std::string ReadyObj;
-
-  // Aggregated fcl::check / fcl::race outcome (collectAnalysis()).
-  uint64_t CheckErrorsN = 0;
-  uint64_t CheckWarningsN = 0;
-  std::vector<std::string> CheckDiagLines;
-  uint64_t RaceFindingsN = 0;
-  std::vector<std::string> RaceDiagLines;
 };
 
 } // namespace serve

@@ -27,163 +27,173 @@ LatencySummary fcl::serve::summarizeLatency(
 
 namespace {
 
-// All floats go through one fixed format so identical runs serialize to
-// identical bytes.
-std::string num(double V) { return formatString("%.6f", V); }
-
-std::string latencyJson(const LatencySummary &S) {
+/// One "  <name> p50 ... max ..." row of a text latency table.
+std::string latencyRow(const char *Name, const LatencySummary &S) {
   return formatString(
-      "{\"p50\": %s, \"p95\": %s, \"p99\": %s, \"mean\": %s, \"max\": %s}",
-      num(S.P50).c_str(), num(S.P95).c_str(), num(S.P99).c_str(),
-      num(S.Mean).c_str(), num(S.Max).c_str());
+      "  %-11s p50 %9.3f  p95 %9.3f  p99 %9.3f  mean %9.3f  max %9.3f\n",
+      Name, S.P50, S.P95, S.P99, S.Mean, S.Max);
 }
 
 } // namespace
 
-std::string ServeReport::toJson() const {
-  std::string J;
-  J += "{\n";
-  J += "  \"schema\": \"fcl-serve-report-v1\",\n";
-  J += formatString("  \"policy\": \"%s\",\n", jsonEscape(PolicyName).c_str());
-  J += formatString("  \"arrival\": \"%s\",\n",
-                    jsonEscape(ArrivalDesc).c_str());
-  J += formatString("  \"mix\": \"%s\",\n", jsonEscape(Mix).c_str());
-  J += formatString("  \"machine\": \"%s\",\n", jsonEscape(Machine).c_str());
-  J += formatString("  \"seed\": %llu,\n",
-                    static_cast<unsigned long long>(Seed));
-  J += formatString("  \"streams\": %d,\n", Streams);
-  J += formatString("  \"queue_depth\": %d,\n", QueueDepth);
-  J += formatString("  \"large_threshold_groups\": %llu,\n",
-                    static_cast<unsigned long long>(LargeThreshold));
-  J += formatString("  \"horizon_ms\": %s,\n", num(HorizonMs).c_str());
-  J += formatString("  \"submitted\": %llu,\n",
-                    static_cast<unsigned long long>(Submitted));
-  J += formatString("  \"rejected\": %llu,\n",
-                    static_cast<unsigned long long>(Rejected));
-  J += formatString("  \"completed\": %llu,\n",
-                    static_cast<unsigned long long>(Completed));
-  J += "  \"latency_ms\": {\n";
-  J += formatString("    \"queue_wait\": %s,\n",
-                    latencyJson(QueueWait).c_str());
-  J += formatString("    \"service\": %s,\n", latencyJson(Service).c_str());
-  J += formatString("    \"e2e\": %s\n", latencyJson(E2e).c_str());
-  J += "  },\n";
-  J += "  \"per_class\": {\n";
-  J += formatString("    \"small\": {\"completed\": %llu, \"e2e\": %s},\n",
-                    static_cast<unsigned long long>(SmallCompleted),
-                    latencyJson(SmallE2e).c_str());
-  J += formatString("    \"large\": {\"completed\": %llu, \"e2e\": %s}\n",
-                    static_cast<unsigned long long>(LargeCompleted),
-                    latencyJson(LargeE2e).c_str());
-  J += "  },\n";
-  J += formatString("  \"makespan_ms\": %s,\n", num(MakespanMs).c_str());
-  J += formatString("  \"throughput_rps\": %s,\n",
-                    num(ThroughputRps).c_str());
-  J += "  \"occupancy\": {\n";
-  J += formatString("    \"gpu_busy_ms\": %s,\n", num(GpuBusyMs).c_str());
-  J += formatString("    \"cpu_busy_ms\": %s,\n", num(CpuBusyMs).c_str());
-  J += formatString("    \"corun_cpu_ms\": %s,\n", num(CorunCpuMs).c_str());
-  J += formatString("    \"gpu_util\": %s,\n", num(GpuUtil).c_str());
-  J += formatString("    \"cpu_util\": %s\n", num(CpuUtil).c_str());
-  J += "  },\n";
-  J += "  \"placement\": {\n";
-  J += formatString("    \"coop_jobs\": %llu,\n",
-                    static_cast<unsigned long long>(CoopJobs));
-  J += formatString("    \"gpu_jobs\": %llu,\n",
-                    static_cast<unsigned long long>(GpuJobs));
-  J += formatString("    \"cpu_jobs\": %llu,\n",
-                    static_cast<unsigned long long>(CpuJobs));
-  J += formatString("    \"backfill_jobs\": %llu,\n",
-                    static_cast<unsigned long long>(BackfillJobs));
-  J += formatString("    \"chunk_yields\": %llu\n",
-                    static_cast<unsigned long long>(ChunkYields));
-  J += "  },\n";
-  J += "  \"slo\": {\n";
-  J += formatString("    \"checked\": %s,\n", SloChecked ? "true" : "false");
-  J += formatString("    \"slo_ms\": %s,\n", num(SloMs).c_str());
-  J += formatString("    \"violations\": %llu\n",
-                    static_cast<unsigned long long>(SloViolations));
-  J += "  },\n";
-  J += "  \"validation\": {\n";
-  J += formatString("    \"validated\": %s,\n", Validated ? "true" : "false");
-  J += formatString("    \"failures\": %llu\n",
-                    static_cast<unsigned long long>(ValidationFailures));
-  J += "  },\n";
-  // Compound-job accounting only when DAG jobs ran: plain mixes keep their
-  // pre-dag bytes.
-  if (DagJobs) {
-    J += "  \"dag\": {\n";
-    J += formatString("    \"placement\": \"%s\",\n",
-                      jsonEscape(DagPlacement).c_str());
-    J += formatString("    \"jobs\": %llu,\n",
-                      static_cast<unsigned long long>(DagJobs));
-    J += formatString("    \"nodes\": %llu,\n",
-                      static_cast<unsigned long long>(DagNodes));
-    J += formatString("    \"gpu_nodes\": %llu,\n",
-                      static_cast<unsigned long long>(DagGpuNodes));
-    J += formatString("    \"cpu_nodes\": %llu,\n",
-                      static_cast<unsigned long long>(DagCpuNodes));
-    J += formatString("    \"transfers\": %llu,\n",
-                      static_cast<unsigned long long>(DagTransfers));
-    J += formatString("    \"transfer_bytes\": %llu,\n",
-                      static_cast<unsigned long long>(DagTransferBytes));
-    J += formatString("    \"pcie_bytes\": %llu,\n",
-                      static_cast<unsigned long long>(DagPcieBytes));
-    J += formatString("    \"transfers_skipped\": %llu,\n",
-                      static_cast<unsigned long long>(DagTransfersSkipped));
-    J += formatString("    \"bytes_saved\": %llu\n",
-                      static_cast<unsigned long long>(DagBytesSaved));
-    J += "  },\n";
-  }
+void fcl::serve::writeLatency(JsonWriter &W, std::string_view Key,
+                              const LatencySummary &S) {
+  W.object(Key, JsonWriter::Inline)
+      .num("p50", ReportFloat, S.P50)
+      .num("p95", ReportFloat, S.P95)
+      .num("p99", ReportFloat, S.P99)
+      .num("mean", ReportFloat, S.Mean)
+      .num("max", ReportFloat, S.Max)
+      .end();
+}
+
+void ReportCore::writeEchoJson(JsonWriter &W) const {
+  W.str("policy", PolicyName)
+      .str("arrival", ArrivalDesc)
+      .str("mix", Mix)
+      .str("machine", Machine)
+      .num("seed", Seed)
+      .num("streams", Streams)
+      .num("queue_depth", QueueDepth)
+      .num("large_threshold_groups", LargeThreshold)
+      .num("horizon_ms", ReportFloat, HorizonMs);
+}
+
+void ReportCore::writeCountsJson(JsonWriter &W) const {
+  W.num("submitted", Submitted)
+      .num("rejected", Rejected)
+      .num("completed", Completed);
+}
+
+void ReportCore::writeLatencyJson(JsonWriter &W) const {
+  W.object("latency_ms");
+  writeLatency(W, "queue_wait", QueueWait);
+  writeLatency(W, "service", Service);
+  writeLatency(W, "e2e", E2e);
+  W.end();
+}
+
+void ReportCore::writeVerdictsJson(JsonWriter &W) const {
+  W.object("slo")
+      .boolean("checked", SloChecked)
+      .num("slo_ms", ReportFloat, SloMs)
+      .num("violations", SloViolations)
+      .end();
+  W.object("validation")
+      .boolean("validated", Validated)
+      .num("failures", ValidationFailures)
+      .end();
+}
+
+void ReportCore::writeAnalysisJson(JsonWriter &W) const {
+  auto Diags = [&W](const std::vector<std::string> &Lines) {
+    W.array("diags");
+    for (const std::string &L : Lines)
+      W.str(L);
+    W.end();
+  };
   // Analysis verdicts appear only when something was found: a clean
   // --check/--races run must serialize to the same bytes as a plain run.
   if (!CheckDiags.empty()) {
-    J += "  \"check\": {\n";
-    J += formatString("    \"errors\": %llu,\n",
-                      static_cast<unsigned long long>(CheckErrors));
-    J += formatString("    \"warnings\": %llu,\n",
-                      static_cast<unsigned long long>(CheckWarnings));
-    J += "    \"diags\": [";
-    for (size_t I = 0; I < CheckDiags.size(); ++I)
-      J += formatString("%s\n      \"%s\"", I ? "," : "",
-                        jsonEscape(CheckDiags[I]).c_str());
-    J += "\n    ]\n";
-    J += "  },\n";
+    W.object("check")
+        .num("errors", CheckErrors)
+        .num("warnings", CheckWarnings);
+    Diags(CheckDiags);
+    W.end();
   }
   if (!RaceDiags.empty()) {
-    J += "  \"races\": {\n";
-    J += formatString("    \"findings\": %llu,\n",
-                      static_cast<unsigned long long>(RaceFindings));
-    J += "    \"diags\": [";
-    for (size_t I = 0; I < RaceDiags.size(); ++I)
-      J += formatString("%s\n      \"%s\"", I ? "," : "",
-                        jsonEscape(RaceDiags[I]).c_str());
-    J += "\n    ]\n";
-    J += "  },\n";
+    W.object("races").num("findings", RaceFindings);
+    Diags(RaceDiags);
+    W.end();
   }
   // The fcl::stats mirror: std::map iteration gives lexicographic, i.e.
   // deterministic, key order.
-  J += "  \"stats\": {\n";
-  J += "    \"counters\": {";
-  bool First = true;
-  for (const auto &[Name, Value] : Stats.counters()) {
-    J += formatString("%s\n      \"%s\": %llu", First ? "" : ",",
-                      jsonEscape(Name).c_str(),
-                      static_cast<unsigned long long>(Value));
-    First = false;
+  W.object("stats").object("counters");
+  for (const auto &[Name, Value] : Stats.counters())
+    W.num(Name, Value);
+  W.end().object("gauges");
+  for (const auto &[Name, Value] : Stats.gauges())
+    W.num(Name, ReportFloat, Value);
+  W.end().end();
+}
+
+void ReportCore::appendLatencyText(std::string &T) const {
+  T += "latency (ms):\n";
+  T += latencyRow("queue-wait", QueueWait);
+  T += latencyRow("service", Service);
+  T += latencyRow("e2e", E2e);
+}
+
+void ReportCore::appendVerdictsText(std::string &T) const {
+  if (SloChecked)
+    T += formatString("slo: %.3f ms -> %llu violation(s)\n", SloMs,
+                      static_cast<unsigned long long>(SloViolations));
+  if (Validated)
+    T += formatString("validation: %llu failure(s)\n",
+                      static_cast<unsigned long long>(ValidationFailures));
+  if (CheckEnabled) {
+    T += formatString("check: %llu error(s), %llu warning(s)\n",
+                      static_cast<unsigned long long>(CheckErrors),
+                      static_cast<unsigned long long>(CheckWarnings));
+    for (const std::string &D : CheckDiags)
+      T += "  " + D + "\n";
   }
-  J += First ? "},\n" : "\n    },\n";
-  J += "    \"gauges\": {";
-  First = true;
-  for (const auto &[Name, Value] : Stats.gauges()) {
-    J += formatString("%s\n      \"%s\": %s", First ? "" : ",",
-                      jsonEscape(Name).c_str(), num(Value).c_str());
-    First = false;
+  if (RacesEnabled) {
+    T += formatString("races: %llu finding(s)\n",
+                      static_cast<unsigned long long>(RaceFindings));
+    for (const std::string &D : RaceDiags)
+      T += "  " + D + "\n";
   }
-  J += First ? "}\n" : "\n    }\n";
-  J += "  }\n";
-  J += "}\n";
-  return J;
+}
+
+std::string ServeReport::toJson() const {
+  std::string Out;
+  JsonWriter W(Out);
+  W.object().str("schema", "fcl-serve-report-v1");
+  writeEchoJson(W);
+  writeCountsJson(W);
+  writeLatencyJson(W);
+  W.object("per_class");
+  W.object("small", JsonWriter::Inline).num("completed", SmallCompleted);
+  writeLatency(W, "e2e", SmallE2e);
+  W.end().object("large", JsonWriter::Inline).num("completed", LargeCompleted);
+  writeLatency(W, "e2e", LargeE2e);
+  W.end().end();
+  W.num("makespan_ms", ReportFloat, MakespanMs)
+      .num("throughput_rps", ReportFloat, ThroughputRps);
+  W.object("occupancy")
+      .num("gpu_busy_ms", ReportFloat, GpuBusyMs)
+      .num("cpu_busy_ms", ReportFloat, CpuBusyMs)
+      .num("corun_cpu_ms", ReportFloat, CorunCpuMs)
+      .num("gpu_util", ReportFloat, GpuUtil)
+      .num("cpu_util", ReportFloat, CpuUtil)
+      .end();
+  W.object("placement")
+      .num("coop_jobs", CoopJobs)
+      .num("gpu_jobs", GpuJobs)
+      .num("cpu_jobs", CpuJobs)
+      .num("backfill_jobs", BackfillJobs)
+      .num("chunk_yields", ChunkYields)
+      .end();
+  writeVerdictsJson(W);
+  // Compound-job accounting only when DAG jobs ran: plain mixes keep their
+  // pre-dag bytes.
+  if (DagJobs)
+    W.object("dag")
+        .str("placement", DagPlacement)
+        .num("jobs", DagJobs)
+        .num("nodes", DagNodes)
+        .num("gpu_nodes", DagGpuNodes)
+        .num("cpu_nodes", DagCpuNodes)
+        .num("transfers", DagTransfers)
+        .num("transfer_bytes", DagTransferBytes)
+        .num("pcie_bytes", DagPcieBytes)
+        .num("transfers_skipped", DagTransfersSkipped)
+        .num("bytes_saved", DagBytesSaved)
+        .end();
+  writeAnalysisJson(W);
+  W.end();
+  return Out;
 }
 
 std::string ServeReport::toText() const {
@@ -200,19 +210,11 @@ std::string ServeReport::toText() const {
       static_cast<unsigned long long>(Completed));
   T += formatString("makespan %.3f ms, throughput %.1f req/s\n", MakespanMs,
                     ThroughputRps);
-  auto Row = [](const char *Name, const LatencySummary &S) {
-    return formatString(
-        "  %-11s p50 %9.3f  p95 %9.3f  p99 %9.3f  mean %9.3f  max %9.3f\n",
-        Name, S.P50, S.P95, S.P99, S.Mean, S.Max);
-  };
-  T += "latency (ms):\n";
-  T += Row("queue-wait", QueueWait);
-  T += Row("service", Service);
-  T += Row("e2e", E2e);
+  appendLatencyText(T);
   if (SmallCompleted)
-    T += Row("e2e/small", SmallE2e);
+    T += latencyRow("e2e/small", SmallE2e);
   if (LargeCompleted)
-    T += Row("e2e/large", LargeE2e);
+    T += latencyRow("e2e/large", LargeE2e);
   T += formatString("occupancy: gpu %.1f%% cpu %.1f%% (corun-cpu %.3f ms)\n",
                     GpuUtil * 100, CpuUtil * 100, CorunCpuMs);
   T += formatString(
@@ -238,25 +240,7 @@ std::string ServeReport::toText() const {
         static_cast<unsigned long long>(DagTransfersSkipped),
         static_cast<unsigned long long>(DagBytesSaved));
   }
-  if (SloChecked)
-    T += formatString("slo: %.3f ms -> %llu violation(s)\n", SloMs,
-                      static_cast<unsigned long long>(SloViolations));
-  if (Validated)
-    T += formatString("validation: %llu failure(s)\n",
-                      static_cast<unsigned long long>(ValidationFailures));
-  if (CheckEnabled) {
-    T += formatString("check: %llu error(s), %llu warning(s)\n",
-                      static_cast<unsigned long long>(CheckErrors),
-                      static_cast<unsigned long long>(CheckWarnings));
-    for (const std::string &D : CheckDiags)
-      T += "  " + D + "\n";
-  }
-  if (RacesEnabled) {
-    T += formatString("races: %llu finding(s)\n",
-                      static_cast<unsigned long long>(RaceFindings));
-    for (const std::string &D : RaceDiags)
-      T += "  " + D + "\n";
-  }
+  appendVerdictsText(T);
   return T;
 }
 

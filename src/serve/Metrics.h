@@ -23,10 +23,12 @@
 #define FCL_SERVE_METRICS_H
 
 #include "stats/Registry.h"
+#include "support/Json.h"
 #include "support/SimTime.h"
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fcl {
@@ -63,35 +65,90 @@ struct RequestRecord {
   double e2eMs() const { return (EndAt - ArrivalAt).toMillis(); }
 };
 
-/// Aggregate outcome of one serve run.
-struct ServeReport {
+/// The one float format of the serve and cluster reports: fixed %.6f, so
+/// identical runs serialize to identical bytes.
+inline constexpr const char *ReportFloat = "%.6f";
+
+/// Writes \p S as an inline {"p50", "p95", "p99", "mean", "max"} member.
+void writeLatency(JsonWriter &W, std::string_view Key,
+                  const LatencySummary &S);
+
+/// What every serving tier's report shares: the configuration echo, job
+/// counts, latency summaries and makespan, the SLO and validation
+/// verdicts, the check and race verdicts and the stats registry.
+/// ServeReport and ClusterReport derive from it and write its blocks
+/// around their own, so each shared block is written in one place.
+struct ReportCore {
   // Configuration echo (what produced these numbers).
-  std::string PolicyName;
+  std::string PolicyName; // Per-worker policy in a cluster.
   std::string ArrivalDesc;
   std::string Mix;
   std::string Machine;
   uint64_t Seed = 0;
-  int Streams = 0;
-  int QueueDepth = 0;
+  int Streams = 0;    // Cluster-wide in a cluster.
+  int QueueDepth = 0; // Per worker in a cluster.
   uint64_t LargeThreshold = 0;
   double HorizonMs = 0;
 
-  // Request counts.
+  // Job counts.
   uint64_t Submitted = 0;
   uint64_t Rejected = 0;
   uint64_t Completed = 0;
 
-  // Latency summaries over completed requests.
+  // Latency summaries over completed jobs. A cluster job's clock starts at
+  // its cluster arrival, so steal transfers count toward its queue wait.
   LatencySummary QueueWait;
   LatencySummary Service;
   LatencySummary E2e;
+  double MakespanMs = 0; // Last response time (first arrival is ~0).
+
+  // SLO verdict (when an SLO was given); binds to end-to-end latency.
+  bool SloChecked = false;
+  double SloMs = 0;
+  uint64_t SloViolations = 0; // Completed jobs with e2e > SloMs.
+
+  // Functional-mode validation.
+  bool Validated = false;
+  uint64_t ValidationFailures = 0;
+
+  // fcl::check / fcl::race outcome (--check / --races). The JSON emits the
+  // "check"/"races" objects only when diagnostics exist, so a clean
+  // analyzed run serializes to the exact bytes of an unanalyzed one (the
+  // determinism gates rely on this).
+  bool CheckEnabled = false;
+  uint64_t CheckErrors = 0;
+  uint64_t CheckWarnings = 0;
+  std::vector<std::string> CheckDiags; // Rendered, deterministic order.
+  bool RacesEnabled = false;
+  uint64_t RaceFindings = 0;
+  std::vector<std::string> RaceDiags; // Rendered, deterministic order.
+
+  /// Counter/gauge mirror of the numbers above (the fcl::stats view).
+  stats::Registry Stats;
+
+  // The shared JSON blocks, in document order: "policy" .. "horizon_ms";
+  // "submitted" .. "completed"; "latency_ms"; "slo" and "validation";
+  // "check", "races" and "stats".
+  void writeEchoJson(JsonWriter &W) const;
+  void writeCountsJson(JsonWriter &W) const;
+  void writeLatencyJson(JsonWriter &W) const;
+  void writeVerdictsJson(JsonWriter &W) const;
+  void writeAnalysisJson(JsonWriter &W) const;
+
+  // The shared text blocks: the latency table, then the SLO, validation,
+  // check and race lines (with every diagnostic).
+  void appendLatencyText(std::string &T) const;
+  void appendVerdictsText(std::string &T) const;
+};
+
+/// Aggregate outcome of one serve run.
+struct ServeReport : ReportCore {
   LatencySummary SmallE2e; // Completed small-class requests only.
   LatencySummary LargeE2e; // Completed large-class requests only.
   uint64_t SmallCompleted = 0;
   uint64_t LargeCompleted = 0;
 
   // Whole-run aggregates.
-  double MakespanMs = 0;      // Last response time (first arrival is ~0).
   double ThroughputRps = 0;   // Completed / makespan.
   double GpuBusyMs = 0;       // Device lease occupancy.
   double CpuBusyMs = 0;       // Lease + cooperative-CPU busy time.
@@ -103,15 +160,6 @@ struct ServeReport {
   uint64_t CpuJobs = 0;       // Single-device CPU jobs (incl. backfills).
   uint64_t BackfillJobs = 0;  // CPU jobs slotted into corun yield windows.
   uint64_t ChunkYields = 0;   // Cooperative chunk boundaries observed.
-
-  // SLO verdict (when an SLO was given).
-  bool SloChecked = false;
-  double SloMs = 0;
-  uint64_t SloViolations = 0; // Completed requests with e2e > SloMs.
-
-  // Functional-mode validation.
-  bool Validated = false;
-  uint64_t ValidationFailures = 0;
 
   // Compound (DAG) job accounting, mirrored from dag::DagStats so this
   // header does not depend on the dag layer. The JSON emits the "dag"
@@ -127,21 +175,6 @@ struct ServeReport {
   uint64_t DagPcieBytes = 0;
   uint64_t DagTransfersSkipped = 0;
   uint64_t DagBytesSaved = 0;
-
-  // fcl::check / fcl::race outcome (serve --check / --races). The JSON
-  // emits the "check"/"races" objects only when diagnostics exist, so a
-  // clean analyzed run serializes to the exact bytes of an unanalyzed one
-  // (the determinism gates rely on this).
-  bool CheckEnabled = false;
-  uint64_t CheckErrors = 0;
-  uint64_t CheckWarnings = 0;
-  std::vector<std::string> CheckDiags; // Rendered, deterministic order.
-  bool RacesEnabled = false;
-  uint64_t RaceFindings = 0;
-  std::vector<std::string> RaceDiags; // Rendered, deterministic order.
-
-  /// Counter/gauge mirror of the numbers above (the fcl::stats view).
-  stats::Registry Stats;
 
   /// Every request in submission order (rejected ones included).
   std::vector<RequestRecord> Requests;

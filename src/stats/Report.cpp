@@ -8,6 +8,7 @@
 
 #include "prof/Profiler.h"
 #include "support/Format.h"
+#include "support/Json.h"
 #include "trace/Tracer.h"
 
 #include <cstdio>
@@ -27,6 +28,73 @@ uint64_t sumOver(const std::vector<LaunchStats> &Launches,
 
 std::string u64(uint64_t V) {
   return formatString("%llu", static_cast<unsigned long long>(V));
+}
+
+void writeRun(JsonWriter &W, const RunReport &R) {
+  FCL_PROF_SCOPE("stats.render_json");
+  W.object()
+      .str("schema", "fcl-run-report-v1")
+      .str("runtime", R.RuntimeName)
+      .str("workload", R.WorkloadName)
+      .num("wall_seconds", "%.9f", R.Wall.toSeconds())
+      .num("total_workgroups", R.totalWorkGroups())
+      .num("gpu_workgroups_completed", R.gpuWorkGroupsCompleted())
+      .num("cpu_workgroups_completed", R.cpuWorkGroupsCompleted())
+      .num("gpu_workgroups_executed", R.gpuWorkGroupsExecuted())
+      .num("cpu_workgroups_executed", R.cpuWorkGroupsExecuted())
+      .num("gpu_workgroups_aborted", R.gpuWorkGroupsAborted())
+      .num("gpu_workgroups_wasted", R.gpuWorkGroupsWasted())
+      .num("cpu_workgroups_wasted", R.cpuWorkGroupsWasted());
+  W.object("counters");
+  for (const auto &[Name, Value] : R.Counters.counters())
+    W.num(Name, Value);
+  W.end().object("gauges");
+  for (const auto &[Name, Value] : R.Counters.gauges())
+    W.num(Name, "%.9g", Value);
+  W.end().array("device_utilization");
+  for (const LaneUtilization &U : R.Utilization)
+    W.object(JsonWriter::Inline)
+        .str("lane", U.Lane)
+        .num("busy_seconds", "%.9f", U.Busy.toSeconds())
+        .num("utilization", "%.6f", U.Utilization)
+        .end();
+  W.end().array("launches");
+  for (const LaunchStats &L : R.Launches) {
+    W.object()
+        .str("kernel", L.KernelName)
+        .str("cpu_kernel_used", L.CpuKernelUsed)
+        .num("kernel_id", L.KernelId)
+        .num("total_workgroups", L.TotalGroups)
+        .num("gpu_workgroups_completed", L.GpuGroupsCompleted)
+        .num("cpu_workgroups_completed", L.CpuGroupsCompleted)
+        .num("gpu_workgroups_executed", L.GpuGroupsExecuted)
+        .num("cpu_workgroups_executed", L.CpuGroupsExecuted)
+        .num("gpu_workgroups_aborted", L.GpuGroupsAborted)
+        .num("gpu_workgroups_wasted", L.GpuGroupsWasted)
+        .num("cpu_workgroups_wasted", L.CpuGroupsWasted)
+        .num("cpu_subkernels", L.CpuSubkernels)
+        .num("final_chunk_pct", "%.6f", L.FinalChunkPct)
+        .num("chunk_growth_steps", L.ChunkGrowthSteps)
+        .boolean("cpu_ran_everything", L.CpuRanEverything)
+        .boolean("atomics_fallback", L.AtomicsFallback)
+        .num("hd_bytes_sent", L.HdBytesSent)
+        .num("status_bytes_sent", L.StatusBytesSent)
+        .num("dh_bytes_received", L.DhBytesReceived)
+        .num("merge_bytes_diffed", L.MergeBytesDiffed)
+        .num("merge_bytes_copied", L.MergeBytesCopied)
+        .num("kernel_seconds", "%.9f", L.KernelTime.toSeconds())
+        .array("chunk_trajectory");
+    for (const ChunkPoint &P : L.ChunkTrajectory)
+      W.object(JsonWriter::Inline)
+          .num("t_us", "%.3f", static_cast<double>(P.At.nanos()) / 1000.0)
+          .num("workgroups", P.Groups)
+          .num("pct_after", "%.4f", P.PctAfter)
+          .num("subkernel_us", "%.3f",
+               static_cast<double>(P.Took.nanos()) / 1000.0)
+          .end();
+    W.end().end();
+  }
+  W.end().end();
 }
 
 } // namespace
@@ -82,114 +150,9 @@ void RunReport::addUtilizationFromTracer(const trace::Tracer &T,
 }
 
 std::string RunReport::renderJson() const {
-  FCL_PROF_SCOPE("stats.render_json");
-  std::string Out = "{\n";
-  Out += "  \"schema\": \"fcl-run-report-v1\",\n";
-  Out += formatString("  \"runtime\": \"%s\",\n",
-                      jsonEscape(RuntimeName).c_str());
-  Out += formatString("  \"workload\": \"%s\",\n",
-                      jsonEscape(WorkloadName).c_str());
-  Out += formatString("  \"wall_seconds\": %.9f,\n", Wall.toSeconds());
-  Out += "  \"total_workgroups\": " + u64(totalWorkGroups()) + ",\n";
-  Out += "  \"gpu_workgroups_completed\": " + u64(gpuWorkGroupsCompleted()) +
-         ",\n";
-  Out += "  \"cpu_workgroups_completed\": " + u64(cpuWorkGroupsCompleted()) +
-         ",\n";
-  Out += "  \"gpu_workgroups_executed\": " + u64(gpuWorkGroupsExecuted()) +
-         ",\n";
-  Out += "  \"cpu_workgroups_executed\": " + u64(cpuWorkGroupsExecuted()) +
-         ",\n";
-  Out += "  \"gpu_workgroups_aborted\": " + u64(gpuWorkGroupsAborted()) +
-         ",\n";
-  Out += "  \"gpu_workgroups_wasted\": " + u64(gpuWorkGroupsWasted()) + ",\n";
-  Out += "  \"cpu_workgroups_wasted\": " + u64(cpuWorkGroupsWasted()) + ",\n";
-
-  Out += "  \"counters\": {";
-  bool First = true;
-  for (const auto &[Name, Value] : Counters.counters()) {
-    Out += formatString("%s\n    \"%s\": %s", First ? "" : ",",
-                        jsonEscape(Name).c_str(), u64(Value).c_str());
-    First = false;
-  }
-  Out += First ? "},\n" : "\n  },\n";
-
-  Out += "  \"gauges\": {";
-  First = true;
-  for (const auto &[Name, Value] : Counters.gauges()) {
-    Out += formatString("%s\n    \"%s\": %.9g", First ? "" : ",",
-                        jsonEscape(Name).c_str(), Value);
-    First = false;
-  }
-  Out += First ? "},\n" : "\n  },\n";
-
-  Out += "  \"device_utilization\": [";
-  First = true;
-  for (const LaneUtilization &U : Utilization) {
-    Out += formatString("%s\n    {\"lane\": \"%s\", \"busy_seconds\": %.9f, "
-                        "\"utilization\": %.6f}",
-                        First ? "" : ",", jsonEscape(U.Lane).c_str(),
-                        U.Busy.toSeconds(), U.Utilization);
-    First = false;
-  }
-  Out += First ? "],\n" : "\n  ],\n";
-
-  Out += "  \"launches\": [";
-  First = true;
-  for (const LaunchStats &L : Launches) {
-    Out += First ? "\n" : ",\n";
-    First = false;
-    Out += "    {\n";
-    Out += formatString("      \"kernel\": \"%s\",\n",
-                        jsonEscape(L.KernelName).c_str());
-    Out += formatString("      \"cpu_kernel_used\": \"%s\",\n",
-                        jsonEscape(L.CpuKernelUsed).c_str());
-    Out += "      \"kernel_id\": " + u64(L.KernelId) + ",\n";
-    Out += "      \"total_workgroups\": " + u64(L.TotalGroups) + ",\n";
-    Out += "      \"gpu_workgroups_completed\": " + u64(L.GpuGroupsCompleted) +
-           ",\n";
-    Out += "      \"cpu_workgroups_completed\": " + u64(L.CpuGroupsCompleted) +
-           ",\n";
-    Out += "      \"gpu_workgroups_executed\": " + u64(L.GpuGroupsExecuted) +
-           ",\n";
-    Out += "      \"cpu_workgroups_executed\": " + u64(L.CpuGroupsExecuted) +
-           ",\n";
-    Out += "      \"gpu_workgroups_aborted\": " + u64(L.GpuGroupsAborted) +
-           ",\n";
-    Out += "      \"gpu_workgroups_wasted\": " + u64(L.GpuGroupsWasted) +
-           ",\n";
-    Out += "      \"cpu_workgroups_wasted\": " + u64(L.CpuGroupsWasted) +
-           ",\n";
-    Out += "      \"cpu_subkernels\": " + u64(L.CpuSubkernels) + ",\n";
-    Out += formatString("      \"final_chunk_pct\": %.6f,\n",
-                        L.FinalChunkPct);
-    Out += "      \"chunk_growth_steps\": " + u64(L.ChunkGrowthSteps) + ",\n";
-    Out += formatString("      \"cpu_ran_everything\": %s,\n",
-                        L.CpuRanEverything ? "true" : "false");
-    Out += formatString("      \"atomics_fallback\": %s,\n",
-                        L.AtomicsFallback ? "true" : "false");
-    Out += "      \"hd_bytes_sent\": " + u64(L.HdBytesSent) + ",\n";
-    Out += "      \"status_bytes_sent\": " + u64(L.StatusBytesSent) + ",\n";
-    Out += "      \"dh_bytes_received\": " + u64(L.DhBytesReceived) + ",\n";
-    Out += "      \"merge_bytes_diffed\": " + u64(L.MergeBytesDiffed) + ",\n";
-    Out += "      \"merge_bytes_copied\": " + u64(L.MergeBytesCopied) + ",\n";
-    Out += formatString("      \"kernel_seconds\": %.9f,\n",
-                        L.KernelTime.toSeconds());
-    Out += "      \"chunk_trajectory\": [";
-    bool FirstPoint = true;
-    for (const ChunkPoint &P : L.ChunkTrajectory) {
-      Out += formatString(
-          "%s\n        {\"t_us\": %.3f, \"workgroups\": %s, "
-          "\"pct_after\": %.4f, \"subkernel_us\": %.3f}",
-          FirstPoint ? "" : ",",
-          static_cast<double>(P.At.nanos()) / 1000.0, u64(P.Groups).c_str(),
-          P.PctAfter, static_cast<double>(P.Took.nanos()) / 1000.0);
-      FirstPoint = false;
-    }
-    Out += FirstPoint ? "]\n" : "\n      ]\n";
-    Out += "    }";
-  }
-  Out += First ? "]\n" : "\n  ]\n";
-  Out += "}\n";
+  std::string Out;
+  JsonWriter W(Out);
+  writeRun(W, *this);
   return Out;
 }
 
@@ -232,13 +195,7 @@ void RunReport::appendCsvRows(CsvWriter &Csv) const {
 
 bool RunReport::writeJson(const std::string &Path) const {
   FCL_PROF_SCOPE("stats.write_json");
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  std::string Text = renderJson();
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  std::fclose(F);
-  return Written == Text.size();
+  return writeFile(Path, renderJson());
 }
 
 void RunReport::printSummary() const {
@@ -276,23 +233,17 @@ void RunReport::printSummary() const {
 bool fcl::stats::writeReportsJson(const std::vector<RunReport> &Reports,
                                   const std::string &Path) {
   std::string Text;
+  JsonWriter W(Text);
   if (Reports.size() == 1) {
-    Text = Reports.front().renderJson();
+    writeRun(W, Reports.front());
   } else {
-    Text = "{\n  \"schema\": \"fcl-run-report-set-v1\",\n  \"runs\": [\n";
-    for (size_t I = 0; I < Reports.size(); ++I) {
-      Text += Reports[I].renderJson();
-      // Strip the trailing newline before the separator for tidy output.
-      if (!Text.empty() && Text.back() == '\n')
-        Text.pop_back();
-      Text += I + 1 < Reports.size() ? ",\n" : "\n";
-    }
-    Text += "  ]\n}\n";
+    // Member reports keep the indentation they have on their own.
+    W.object()
+        .str("schema", "fcl-run-report-set-v1")
+        .array("runs", JsonWriter::Flush);
+    for (const RunReport &R : Reports)
+      writeRun(W, R);
+    W.end().end();
   }
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  std::fclose(F);
-  return Written == Text.size();
+  return writeFile(Path, Text);
 }

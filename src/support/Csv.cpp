@@ -7,8 +7,7 @@
 #include "support/Csv.h"
 
 #include "support/Error.h"
-
-#include <cstdio>
+#include "support/Format.h"
 
 using namespace fcl;
 
@@ -51,11 +50,5 @@ std::string CsvWriter::render() const {
 }
 
 bool CsvWriter::writeFile(const std::string &Path) const {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  std::string Text = render();
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  std::fclose(F);
-  return Written == Text.size();
+  return fcl::writeFile(Path, render());
 }

@@ -34,6 +34,11 @@ std::string fcl::formatString(const char *Fmt, ...) {
 std::string fcl::jsonEscape(const std::string &S) {
   std::string Out;
   Out.reserve(S.size());
+  appendJsonEscaped(Out, S);
+  return Out;
+}
+
+void fcl::appendJsonEscaped(std::string &Out, std::string_view S) {
   for (char C : S) {
     switch (C) {
     case '"':
@@ -61,5 +66,13 @@ std::string fcl::jsonEscape(const std::string &S) {
     }
     Out += C;
   }
-  return Out;
+}
+
+bool fcl::writeFile(const std::string &Path, std::string_view Contents) {
+  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  if (!F)
+    return false;
+  size_t Written = std::fwrite(Contents.data(), 1, Contents.size(), F);
+  bool Closed = std::fclose(F) == 0;
+  return Written == Contents.size() && Closed;
 }

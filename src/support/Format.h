@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Small printf-style formatting helpers returning std::string. Used instead
-/// of iostreams throughout the library (iostream is avoided per the LLVM
-/// coding standards this project follows).
+/// Small printf-style formatting helpers returning std::string, JSON string
+/// escaping, and the one helper that writes a rendered document to a file.
+/// Used instead of iostreams throughout the library (iostream is avoided
+/// per the LLVM coding standards this project follows).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,7 @@
 #define FCL_SUPPORT_FORMAT_H
 
 #include <string>
+#include <string_view>
 
 namespace fcl {
 
@@ -29,9 +31,17 @@ std::string formatString(const char *Fmt, ...);
 
 /// Escapes \p S for inclusion inside a JSON string literal: quotes and
 /// backslashes are backslash-escaped, control characters become \uXXXX.
-/// Shared by every JSON emitter (trace, stats) so no interpolation site can
-/// produce invalid JSON from a hostile kernel or buffer name.
+/// Shared by every JSON emitter (JsonWriter, the Chrome trace) so no
+/// interpolation site can produce invalid JSON from a hostile kernel or
+/// buffer name.
 std::string jsonEscape(const std::string &S);
+
+/// Appends jsonEscape(S) to \p Out.
+void appendJsonEscaped(std::string &Out, std::string_view S);
+
+/// Writes \p Contents to \p Path byte for byte; false if the file cannot
+/// be opened or fully written.
+bool writeFile(const std::string &Path, std::string_view Contents);
 
 } // namespace fcl
 

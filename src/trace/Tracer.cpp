@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <map>
 
 using namespace fcl;
@@ -147,11 +146,5 @@ std::string Tracer::renderChromeTrace() const {
 }
 
 bool Tracer::writeChromeTrace(const std::string &Path) const {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  std::string Text = renderChromeTrace();
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  std::fclose(F);
-  return Written == Text.size();
+  return writeFile(Path, renderChromeTrace());
 }

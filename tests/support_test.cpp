@@ -6,6 +6,7 @@
 
 #include "support/Csv.h"
 #include "support/Format.h"
+#include "support/Json.h"
 #include "support/Rng.h"
 #include "support/SimTime.h"
 #include "support/Statistics.h"
@@ -211,6 +212,73 @@ TEST(CsvTest, WriteFileRoundTrip) {
 TEST(CsvTest, WriteFileFailsOnBadPath) {
   CsvWriter C({"k"});
   EXPECT_FALSE(C.writeFile("/nonexistent-dir-xyz/file.csv"));
+}
+
+TEST(JsonWriterTest, EmptyContainersCloseOnTheirLine) {
+  std::string Out;
+  JsonWriter W(Out);
+  W.object().object("o").end().array("a").end().end();
+  EXPECT_EQ(Out, "{\n  \"o\": {},\n  \"a\": []\n}\n");
+  std::string Root;
+  JsonWriter(Root).array().end();
+  EXPECT_EQ(Root, "[]\n");
+}
+
+TEST(JsonWriterTest, InlineInsideBlock) {
+  std::string Out;
+  JsonWriter W(Out);
+  W.object().num("n", uint64_t{18446744073709551615u}).num("i", -3);
+  W.array("rows");
+  W.object(JsonWriter::Inline).num("x", "%.2f", 1.0).boolean("ok", true);
+  W.object("in", JsonWriter::Inline).end().end();
+  W.object(JsonWriter::Inline).end();
+  W.end().end();
+  EXPECT_EQ(Out, "{\n"
+                 "  \"n\": 18446744073709551615,\n"
+                 "  \"i\": -3,\n"
+                 "  \"rows\": [\n"
+                 "    {\"x\": 1.00, \"ok\": true, \"in\": {}},\n"
+                 "    {}\n"
+                 "  ]\n"
+                 "}\n");
+}
+
+TEST(JsonWriterTest, EscapesKeysAndStrings) {
+  std::string Out;
+  JsonWriter W(Out);
+  W.object(JsonWriter::Inline)
+      .str("k\"\\", "a\tb\x01\n")
+      .array("s", JsonWriter::Inline);
+  W.str("\r").end().end();
+  EXPECT_EQ(Out, "{\"k\\\"\\\\\": \"a\\tb\\u0001\\n\", \"s\": [\"\\r\"]}\n");
+  EXPECT_EQ(jsonEscape("q\"\x1f"), "q\\\"\\u001f");
+}
+
+TEST(JsonWriterTest, FlushEmbedsDocumentsAtColumnZero) {
+  std::string Out;
+  JsonWriter W(Out);
+  W.object().array("runs", JsonWriter::Flush);
+  W.object().num("a", 1).end().object().end();
+  W.end().end();
+  EXPECT_EQ(Out, "{\n  \"runs\": [\n{\n  \"a\": 1\n},\n{}\n  ]\n}\n");
+}
+
+TEST(JsonWriterTest, LongFloatsAreNotTruncated) {
+  std::string Out;
+  JsonWriter(Out).object(JsonWriter::Inline).num("big", "%.6f", 1e80).end();
+  EXPECT_EQ(Out, "{\"big\": " + formatString("%.6f", 1e80) + "}\n");
+}
+
+TEST(WriteFileTest, WritesBytesAndReportsFailure) {
+  std::string Path = ::testing::TempDir() + "/fcl_write_file_test.bin";
+  std::string Bytes("a\0b\n", 4);
+  ASSERT_TRUE(writeFile(Path, Bytes));
+  std::ifstream In(Path, std::ios::binary);
+  std::stringstream SS;
+  SS << In.rdbuf();
+  EXPECT_EQ(SS.str(), Bytes);
+  std::remove(Path.c_str());
+  EXPECT_FALSE(writeFile("/nonexistent-dir-xyz/file.bin", Bytes));
 }
 
 } // namespace

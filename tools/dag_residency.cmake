@@ -20,13 +20,13 @@ set(ARGS --mix=pipeline --streams=8 --policy=corun --arrival=poisson:300
 
 foreach(PLACE residency blind)
   execute_process(
-    COMMAND "${TOOL}" ${ARGS} "--placement=${PLACE}"
+    COMMAND "${TOOL}" ${ARGS} "--dag-placement=${PLACE}"
             "--stats-json=${OUT_DIR}/dag-${PLACE}.json"
     RESULT_VARIABLE RC
     OUTPUT_QUIET)
   if(NOT RC EQUAL 0)
     message(FATAL_ERROR
-            "fluidicl_serve --placement=${PLACE} exited with ${RC}")
+            "fluidicl_serve --dag-placement=${PLACE} exited with ${RC}")
   endif()
   file(READ "${OUT_DIR}/dag-${PLACE}.json" JSON)
   string(REGEX MATCH "\"serve_dag_pcie_bytes\": ([0-9]+)" _ "${JSON}")

@@ -15,257 +15,50 @@
 ///       --streams=16 --policy=corun --arrival=poisson:400
 ///       --duration=0.25 --stats-json=cluster.json
 ///
-/// Exit status: 0 on success, 1 on usage errors, 2 when --slo-ms was given
-/// and any completed job missed the SLO, 3 on validation failures
-/// (--functional --validate), 4 on check error diagnostics under
-/// --check=fail, 5 on race findings under --races=fail.
+/// Options shared with fluidicl_serve and the exit statuses are in
+/// TierOptions.h.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TierOptions.h"
 #include "cluster/Cluster.h"
-#include "prof/Profiler.h"
-#include "support/ArgParser.h"
 #include "support/Format.h"
-#include "trace/Tracer.h"
-
-#include <cstdio>
-#include <fstream>
 
 using namespace fcl;
 
-namespace {
-
-bool writeFile(const std::string &Path, const std::string &Contents) {
-  std::ofstream Out(Path, std::ios::binary);
-  if (!Out)
-    return false;
-  Out << Contents;
-  return static_cast<bool>(Out);
-}
-
-} // namespace
-
 int main(int Argc, char **Argv) {
-  ArgParser Args("fluidicl_cluster",
-                 "sharded multi-pair serving: a master shards kernel "
-                 "streams across N simulated CPU+GPU worker pairs");
+  TierOptions Opts("fluidicl_cluster",
+                   "sharded multi-pair serving: a master shards kernel "
+                   "streams across N simulated CPU+GPU worker pairs",
+                   "job");
+  ArgParser &Args = Opts.args();
   Args.addOption("workers", "worker pairs (one thread + simulator each)",
                  "2");
-  Args.addOption("placement", "placement policy: hash|least|size", "least");
+  Args.addOption("placement", "worker placement policy: hash|least|size",
+                 "least");
   Args.addOption("steal", "epoch-boundary work stealing: on|off", "on");
   Args.addOption("quantum-ms", "fabric epoch quantum in simulated ms", "1");
   Args.addOption("link-us",
                  "simulated link latency per stolen-job transfer in us",
                  "20");
-  Args.addOption("streams", "cluster-wide client streams", "8");
-  Args.addOption("policy", "per-worker dispatch policy: fifo|affine|corun",
-                 "corun");
-  Args.addOption("arrival",
-                 "arrival process: poisson:<rps>|uniform:<rps> (per "
-                 "stream; closed loops would couple worker clocks)",
-                 "poisson:120");
-  Args.addOption("duration", "admission window in seconds", "0.25");
-  Args.addOption("seed", "load-generator seed", "1");
-  Args.addOption("queue-depth", "per-worker admission queue bound", "64");
-  Args.addOption("threshold",
-                 "work-group count at/above which a job is 'large'", "64");
-  Args.addOption("mix", "job mix: mixed|small|large|pipeline", "mixed");
-  Args.addOption("dag-placement",
-                 "per-worker compound (DAG) node placement: "
-                 "residency|blind (pipeline mix)",
-                 "residency");
-  Args.addOption("machine",
-                 std::string("simulated machine per worker: ") +
-                     hw::machineNames(),
-                 "paper");
-  Args.addOption("slo-ms",
-                 "cluster end-to-end SLO in ms; exit 2 on any violation "
-                 "(0 = off)",
-                 "0");
-  Args.addOption("stats-json", "write the cluster report JSON here", "");
-  Args.addOption("jobs-csv", "write per-job CSV here", "");
-  Args.addOption("trace",
-                 "write a merged Chrome/Perfetto trace here (per-worker "
-                 "lanes prefixed w0/w1/...)",
-                 "");
-  Args.addOption("check",
-                 "fluidic-safety checking in every cooperative job's "
-                 "runtime: off|warn|fail (fail -> exit 4 on error "
-                 "diagnostics)",
-                 "off");
-  Args.addOption("races",
-                 "happens-before race analysis over the whole threaded "
-                 "run: off|warn|fail (fail -> exit 5 on findings; never "
-                 "perturbs the report bytes)",
-                 "off");
-  Args.addFlag("functional", "execute kernels for real");
-  Args.addFlag("prof",
-               "collect a wall-clock host profile and print the top "
-               "self-time phases (never affects the simulated results)");
-  Args.addFlag("validate",
-               "validate every job's results (needs --functional)");
-  if (!Args.parse(Argc - 1, Argv + 1)) {
-    std::fprintf(stderr, "error: %s\n%s", Args.error().c_str(),
-                 Args.helpText().c_str());
-    return 1;
-  }
-  if (Args.helpRequested()) {
-    std::printf("%s", Args.helpText().c_str());
-    return 0;
-  }
-
   cluster::ClusterConfig Cfg;
+  if (std::optional<int> Status = Opts.parse(Argc, Argv, Cfg.Worker))
+    return *Status;
   Cfg.Workers = static_cast<int>(Args.i64("workers"));
-  if (!cluster::parsePlacement(Args.str("placement"), Cfg.Place)) {
-    std::fprintf(stderr,
-                 "error: unknown --placement '%s' (hash|least|size)\n",
-                 Args.str("placement").c_str());
-    return 1;
-  }
-  std::string Steal = Args.str("steal");
-  if (Steal != "on" && Steal != "off") {
-    std::fprintf(stderr, "error: bad --steal value '%s' (on|off)\n",
-                 Steal.c_str());
-    return 1;
-  }
+  if (!cluster::parsePlacement(Args.str("placement"), Cfg.Place))
+    return TierOptions::usageError(
+        formatString("unknown --placement '%s' (hash|least|size)",
+                     Args.str("placement").c_str()));
+  const std::string &Steal = Args.str("steal");
+  if (Steal != "on" && Steal != "off")
+    return TierOptions::usageError(
+        formatString("bad --steal value '%s' (on|off)", Steal.c_str()));
   Cfg.Steal = Steal == "on";
-  Cfg.Quantum = Duration::seconds(Args.f64("quantum-ms") * 1e-3);
-  Cfg.LinkLatency = Duration::seconds(Args.f64("link-us") * 1e-6);
-
-  serve::EngineConfig &W = Cfg.Worker;
-  W.Streams = static_cast<int>(Args.i64("streams"));
-  W.Seed = static_cast<uint64_t>(Args.i64("seed"));
-  W.QueueDepth = static_cast<int>(Args.i64("queue-depth"));
-  W.LargeThreshold = static_cast<uint64_t>(Args.i64("threshold"));
-  W.Horizon = Duration::seconds(Args.f64("duration"));
-  W.SloMs = Args.f64("slo-ms");
-  W.MachineName = Args.str("machine");
-  if (!hw::machineByName(W.MachineName, W.M)) {
-    std::fprintf(stderr, "error: unknown --machine '%s' (expected %s)\n",
-                 W.MachineName.c_str(), hw::machineNames());
-    return 1;
-  }
-  if (!serve::parsePolicy(Args.str("policy"), W.P)) {
-    std::fprintf(stderr,
-                 "error: unknown --policy '%s' (fifo|affine|corun)\n",
-                 Args.str("policy").c_str());
-    return 1;
-  }
-  std::string Err;
-  if (!serve::parseArrivalSpec(Args.str("arrival"), W.Arrival, Err)) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
-    return 1;
-  }
-  if (W.Arrival.Kind == serve::ArrivalKind::Closed) {
-    std::fprintf(stderr,
-                 "error: --arrival=closed:* is not supported by the "
-                 "cluster (think loops would couple worker clocks)\n");
-    return 1;
-  }
-  if (!serve::parseMix(Args.str("mix"), W.Mix)) {
-    std::fprintf(stderr,
-                 "error: unknown --mix '%s' (mixed|small|large|pipeline)\n",
-                 Args.str("mix").c_str());
-    return 1;
-  }
-  if (!dag::parsePlacement(Args.str("dag-placement"), W.DagPlace)) {
-    std::fprintf(stderr,
-                 "error: unknown --dag-placement '%s' (residency|blind)\n",
-                 Args.str("dag-placement").c_str());
-    return 1;
-  }
-  if (Args.flag("validate") && !Args.flag("functional")) {
-    std::fprintf(stderr, "error: --validate requires --functional\n");
-    return 1;
-  }
-  W.Mode = Args.flag("functional") ? mcl::ExecMode::Functional
-                                   : mcl::ExecMode::TimingOnly;
-  W.Validate = Args.flag("validate");
-  if (!check::parsePolicy(Args.str("check"), W.FclOpts.Check)) {
-    std::fprintf(stderr, "error: bad --check value '%s' (off|warn|fail)\n",
-                 Args.str("check").c_str());
-    return 1;
-  }
-  if (!check::parsePolicy(Args.str("races"), W.Races)) {
-    std::fprintf(stderr, "error: bad --races value '%s' (off|warn|fail)\n",
-                 Args.str("races").c_str());
-    return 1;
-  }
-  if (Cfg.Workers <= 0 || Cfg.Workers > 64) {
-    std::fprintf(stderr, "error: --workers must be in [1, 64]\n");
-    return 1;
-  }
-  if (W.Streams <= 0 || W.Horizon <= Duration::zero() ||
-      Cfg.Quantum <= Duration::zero()) {
-    std::fprintf(stderr,
-                 "error: need positive --streams, --duration and "
-                 "--quantum-ms\n");
-    return 1;
-  }
-
-  trace::Tracer Tracer;
-  std::string TracePath = Args.str("trace");
-  if (!TracePath.empty())
-    W.Tracer = &Tracer;
-
-  bool Prof = Args.flag("prof");
-  if (Prof)
-    prof::Profiler::instance().setEnabled(true);
+  Cfg.Quantum = signedSeconds(Args.f64("quantum-ms") * 1e-3);
+  Cfg.LinkLatency = signedSeconds(Args.f64("link-us") * 1e-6);
+  if (std::string Invalid = Cfg.validate(); !Invalid.empty())
+    return TierOptions::usageError(Invalid);
 
   cluster::Cluster Tier(Cfg);
-  cluster::ClusterReport Report = Tier.run();
-
-  std::printf("%s", Report.toText().c_str());
-
-  if (Prof) {
-    prof::Profiler::instance().setEnabled(false);
-    prof::Snapshot Snap = prof::Profiler::instance().snapshot();
-    std::printf("\n%s", Snap.renderText(/*TopN=*/10).c_str());
-    if (!TracePath.empty())
-      Tracer.annotateProfile(Snap);
-  }
-
-  std::string JsonPath = Args.str("stats-json");
-  if (!JsonPath.empty()) {
-    if (!writeFile(JsonPath, Report.toJson())) {
-      std::fprintf(stderr, "error: cannot write %s\n", JsonPath.c_str());
-      return 1;
-    }
-    std::printf("report JSON written to %s\n", JsonPath.c_str());
-  }
-  std::string CsvPath = Args.str("jobs-csv");
-  if (!CsvPath.empty()) {
-    if (!writeFile(CsvPath, Report.toCsv())) {
-      std::fprintf(stderr, "error: cannot write %s\n", CsvPath.c_str());
-      return 1;
-    }
-    std::printf("job CSV written to %s\n", CsvPath.c_str());
-  }
-  if (!TracePath.empty() && Tracer.writeChromeTrace(TracePath))
-    std::printf("trace written to %s\n", TracePath.c_str());
-
-  if (Report.Validated && Report.ValidationFailures > 0) {
-    std::fprintf(stderr, "FAIL: %llu job(s) produced wrong results\n",
-                 static_cast<unsigned long long>(Report.ValidationFailures));
-    return 3;
-  }
-  if (Report.SloChecked && Report.SloViolations > 0) {
-    std::fprintf(stderr, "FAIL: %llu job(s) exceeded the %.3f ms SLO\n",
-                 static_cast<unsigned long long>(Report.SloViolations),
-                 Report.SloMs);
-    return 2;
-  }
-  if (W.FclOpts.Check == check::Policy::Fail && Report.CheckErrors > 0) {
-    std::fprintf(stderr,
-                 "FAIL: %llu check error diagnostic(s) under --check=fail\n",
-                 static_cast<unsigned long long>(Report.CheckErrors));
-    return 4;
-  }
-  if (W.Races == check::Policy::Fail && Report.RaceFindings > 0) {
-    std::fprintf(stderr,
-                 "FAIL: %llu race finding(s) under --races=fail\n",
-                 static_cast<unsigned long long>(Report.RaceFindings));
-    return 5;
-  }
-  return 0;
+  return Opts.finish(Tier.run());
 }

@@ -9,134 +9,29 @@
 /// Polybench jobs over the simulated CPU+GPU pair under a chosen
 /// scheduling policy, and prints a throughput/latency report.
 ///
-///   fluidicl_serve --streams=8 --policy=corun --arrival=poisson:120 \
+///   fluidicl_serve --streams=8 --policy=corun --arrival=poisson:120
 ///       --duration=0.25 --slo-ms=20 --stats-json=serve.json
 ///
-/// Exit status: 0 on success, 1 on usage errors, 2 when --slo-ms was given
-/// and any completed request missed the SLO, 3 on validation failures
-/// (--functional --validate), 4 on check error diagnostics under
-/// --check=fail, 5 on race findings under --races=fail.
+/// Options shared with fluidicl_cluster and the exit statuses are in
+/// TierOptions.h.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "prof/Profiler.h"
-#include "serve/Engine.h"
-#include "support/ArgParser.h"
-#include "support/Format.h"
-#include "trace/Tracer.h"
-
-#include <cstdio>
-#include <fstream>
+#include "TierOptions.h"
 
 using namespace fcl;
 
-namespace {
-
-bool writeFile(const std::string &Path, const std::string &Contents) {
-  std::ofstream Out(Path, std::ios::binary);
-  if (!Out)
-    return false;
-  Out << Contents;
-  return static_cast<bool>(Out);
-}
-
-} // namespace
-
 int main(int Argc, char **Argv) {
-  ArgParser Args("fluidicl_serve",
-                 "multi-tenant kernel-stream serving over the simulated "
-                 "CPU+GPU pair");
-  Args.addOption("streams", "number of concurrent client streams", "8");
-  Args.addOption("policy", "dispatch policy: fifo|affine|corun", "corun");
-  Args.addOption("arrival",
-                 "arrival process: poisson:<rps>|uniform:<rps>|"
-                 "closed:<think-ms> (per stream)",
-                 "poisson:120");
-  Args.addOption("duration", "admission window in seconds", "0.25");
-  Args.addOption("seed", "load-generator seed", "1");
-  Args.addOption("queue-depth", "admission queue bound (backpressure)",
-                 "64");
-  Args.addOption("threshold",
-                 "work-group count at/above which a job is 'large'", "64");
-  Args.addOption("mix", "job mix: mixed|small|large|pipeline", "mixed");
-  Args.addOption("placement",
-                 "compound (DAG) node placement: residency|blind "
-                 "(pipeline mix)",
-                 "residency");
-  Args.addOption("machine",
-                 std::string("simulated machine: ") + hw::machineNames(),
-                 "paper");
-  Args.addOption("slo-ms",
-                 "end-to-end SLO in ms; exit 2 on any violation (0 = off)",
-                 "0");
-  Args.addOption("stats-json", "write the serve report JSON here", "");
-  Args.addOption("requests-csv", "write per-request CSV here", "");
-  Args.addOption("trace", "write a Chrome/Perfetto trace here", "");
-  Args.addOption("check",
-                 "fluidic-safety checking in every cooperative job's "
-                 "runtime: off|warn|fail (fail -> exit 4 on error "
-                 "diagnostics)",
-                 "off");
-  Args.addOption("races",
-                 "happens-before race analysis over the whole run: "
-                 "off|warn|fail (fail -> exit 5 on findings; never "
-                 "perturbs the report bytes)",
-                 "off");
-  Args.addFlag("dag-stats",
-               "print the DAG shape table of the chosen mix and exit");
-  Args.addFlag("functional", "execute kernels for real");
-  Args.addFlag("prof",
-               "collect a wall-clock host profile and print the top "
-               "self-time phases (never affects the simulated results)");
-  Args.addFlag("validate",
-               "validate every job's results (needs --functional)");
-  if (!Args.parse(Argc - 1, Argv + 1)) {
-    std::fprintf(stderr, "error: %s\n%s", Args.error().c_str(),
-                 Args.helpText().c_str());
-    return 1;
-  }
-  if (Args.helpRequested()) {
-    std::printf("%s", Args.helpText().c_str());
-    return 0;
-  }
-
+  TierOptions Opts("fluidicl_serve",
+                   "multi-tenant kernel-stream serving over the simulated "
+                   "CPU+GPU pair",
+                   "request");
+  Opts.args().addFlag("dag-stats",
+                      "print the DAG shape table of the chosen mix and exit");
   serve::EngineConfig Cfg;
-  Cfg.Streams = static_cast<int>(Args.i64("streams"));
-  Cfg.Seed = static_cast<uint64_t>(Args.i64("seed"));
-  Cfg.QueueDepth = static_cast<int>(Args.i64("queue-depth"));
-  Cfg.LargeThreshold = static_cast<uint64_t>(Args.i64("threshold"));
-  Cfg.Horizon = Duration::seconds(Args.f64("duration"));
-  Cfg.SloMs = Args.f64("slo-ms");
-  Cfg.MachineName = Args.str("machine");
-  if (!hw::machineByName(Cfg.MachineName, Cfg.M)) {
-    std::fprintf(stderr, "error: unknown --machine '%s' (expected %s)\n",
-                 Cfg.MachineName.c_str(), hw::machineNames());
-    return 1;
-  }
-  if (!serve::parsePolicy(Args.str("policy"), Cfg.P)) {
-    std::fprintf(stderr,
-                 "error: unknown --policy '%s' (fifo|affine|corun)\n",
-                 Args.str("policy").c_str());
-    return 1;
-  }
-  std::string Err;
-  if (!serve::parseArrivalSpec(Args.str("arrival"), Cfg.Arrival, Err)) {
-    std::fprintf(stderr, "error: %s\n", Err.c_str());
-    return 1;
-  }
-  if (!serve::parseMix(Args.str("mix"), Cfg.Mix)) {
-    std::fprintf(stderr,
-                 "error: unknown --mix '%s' (mixed|small|large|pipeline)\n",
-                 Args.str("mix").c_str());
-    return 1;
-  }
-  if (!dag::parsePlacement(Args.str("placement"), Cfg.DagPlace)) {
-    std::fprintf(stderr,
-                 "error: unknown --placement '%s' (residency|blind)\n",
-                 Args.str("placement").c_str());
-    return 1;
-  }
-  if (Args.flag("dag-stats")) {
+  if (std::optional<int> Status = Opts.parse(Argc, Argv, Cfg))
+    return *Status;
+  if (Opts.args().flag("dag-stats")) {
     // Deterministic shape table of the mix's templates; compound ones get
     // their graph metrics, plain ones a "-" row.
     std::printf("%-14s %-8s %5s %5s %5s %9s\n", "template", "shape", "nodes",
@@ -154,92 +49,9 @@ int main(int Argc, char **Argv) {
     }
     return 0;
   }
-  if (Args.flag("validate") && !Args.flag("functional")) {
-    std::fprintf(stderr, "error: --validate requires --functional\n");
-    return 1;
-  }
-  Cfg.Mode = Args.flag("functional") ? mcl::ExecMode::Functional
-                                     : mcl::ExecMode::TimingOnly;
-  Cfg.Validate = Args.flag("validate");
-  if (!check::parsePolicy(Args.str("check"), Cfg.FclOpts.Check)) {
-    std::fprintf(stderr, "error: bad --check value '%s' (off|warn|fail)\n",
-                 Args.str("check").c_str());
-    return 1;
-  }
-  if (!check::parsePolicy(Args.str("races"), Cfg.Races)) {
-    std::fprintf(stderr, "error: bad --races value '%s' (off|warn|fail)\n",
-                 Args.str("races").c_str());
-    return 1;
-  }
-  if (Cfg.Streams <= 0 || Cfg.Horizon <= Duration::zero()) {
-    std::fprintf(stderr, "error: need positive --streams and --duration\n");
-    return 1;
-  }
-
-  trace::Tracer Tracer;
-  std::string TracePath = Args.str("trace");
-  if (!TracePath.empty())
-    Cfg.Tracer = &Tracer;
-
-  bool Prof = Args.flag("prof");
-  if (Prof)
-    prof::Profiler::instance().setEnabled(true);
+  if (std::string Invalid = Cfg.validate(); !Invalid.empty())
+    return TierOptions::usageError(Invalid);
 
   serve::Engine Engine(Cfg);
-  serve::ServeReport Report = Engine.run();
-
-  std::printf("%s", Report.toText().c_str());
-
-  if (Prof) {
-    prof::Profiler::instance().setEnabled(false);
-    prof::Snapshot Snap = prof::Profiler::instance().snapshot();
-    std::printf("\n%s", Snap.renderText(/*TopN=*/10).c_str());
-    if (!TracePath.empty())
-      Tracer.annotateProfile(Snap);
-  }
-
-  std::string JsonPath = Args.str("stats-json");
-  if (!JsonPath.empty()) {
-    if (!writeFile(JsonPath, Report.toJson())) {
-      std::fprintf(stderr, "error: cannot write %s\n", JsonPath.c_str());
-      return 1;
-    }
-    std::printf("report JSON written to %s\n", JsonPath.c_str());
-  }
-  std::string CsvPath = Args.str("requests-csv");
-  if (!CsvPath.empty()) {
-    if (!writeFile(CsvPath, Report.toCsv())) {
-      std::fprintf(stderr, "error: cannot write %s\n", CsvPath.c_str());
-      return 1;
-    }
-    std::printf("request CSV written to %s\n", CsvPath.c_str());
-  }
-  if (!TracePath.empty() && Tracer.writeChromeTrace(TracePath))
-    std::printf("trace written to %s\n", TracePath.c_str());
-
-  if (Report.Validated && Report.ValidationFailures > 0) {
-    std::fprintf(stderr, "FAIL: %llu job(s) produced wrong results\n",
-                 static_cast<unsigned long long>(Report.ValidationFailures));
-    return 3;
-  }
-  if (Report.SloChecked && Report.SloViolations > 0) {
-    std::fprintf(stderr,
-                 "FAIL: %llu request(s) exceeded the %.3f ms SLO\n",
-                 static_cast<unsigned long long>(Report.SloViolations),
-                 Report.SloMs);
-    return 2;
-  }
-  if (Cfg.FclOpts.Check == check::Policy::Fail && Report.CheckErrors > 0) {
-    std::fprintf(stderr,
-                 "FAIL: %llu check error diagnostic(s) under --check=fail\n",
-                 static_cast<unsigned long long>(Report.CheckErrors));
-    return 4;
-  }
-  if (Cfg.Races == check::Policy::Fail && Report.RaceFindings > 0) {
-    std::fprintf(stderr,
-                 "FAIL: %llu race finding(s) under --races=fail\n",
-                 static_cast<unsigned long long>(Report.RaceFindings));
-    return 5;
-  }
-  return 0;
+  return Opts.finish(Engine.run());
 }
