@@ -11,8 +11,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef FCL_BENCH_BENCHUTIL_H
-#define FCL_BENCH_BENCHUTIL_H
+#ifndef FCL_BENCHUTIL_H
+#define FCL_BENCHUTIL_H
 
 #include "stats/Report.h"
 #include "support/Csv.h"
@@ -61,4 +61,4 @@ inline void printHeader(const char *Id, const char *Title) {
 } // namespace bench
 } // namespace fcl
 
-#endif // FCL_BENCH_BENCHUTIL_H
+#endif // FCL_BENCHUTIL_H

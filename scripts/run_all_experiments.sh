@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Runs every paper table/figure harness plus the extension benches, then
-# the post-seed tool suite (checker sweeps, serving, cluster, bench
-# smoke), collecting stdout, report JSON and the CSV series under
-# results/.
+# the post-seed tool suite (checker sweeps, serving, cluster), collecting
+# stdout, report JSON and the CSV series under results/. Host speed is
+# perfbench's job (python3 perfbench/run.py), not this script's.
 #
 # Usage: scripts/run_all_experiments.sh [build-dir] [results-dir]
 set -euo pipefail
@@ -16,12 +16,7 @@ cd "$RESULTS"
 # (CMakeFiles/, Makefile, ...), so only run actual executables.
 for b in "$BUILD_ABS"/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
-  name=$(basename "$b")
-  if [ "$name" = "micro_runtime_overheads" ]; then
-    "$b" --repeat=1 --out=BENCH_micro_overheads.json | tee "$name.txt"
-  else
-    "$b" | tee "$name.txt"
-  fi
+  "$b" | tee "$(basename "$b").txt"
   echo
 done
 
@@ -44,11 +39,6 @@ echo "== fluidicl_cluster: 4-pair scale-out run =="
 "$BUILD_ABS"/tools/fluidicl_cluster --workers=4 --placement=least \
   --steal=on --streams=16 --arrival=poisson:600 --duration=0.1 --seed=7 \
   --stats-json=cluster_w4.json --jobs-csv=cluster_w4.csv | tee cluster_w4.txt
-echo
-
-echo "== fluidicl_bench: smoke suite =="
-"$BUILD_ABS"/tools/fluidicl_bench --suite=smoke --out-dir=. \
-  | tee bench_smoke.txt
 echo
 
 echo "all experiment outputs and CSVs are in $RESULTS/"

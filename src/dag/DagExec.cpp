@@ -175,16 +175,9 @@ void DagJobExec::enqueueKernelNode(size_t N) {
   mcl::LaunchDesc Desc;
   Desc.Kernel = &kern::Registry::builtin().get(Call.Kernel);
   Desc.Range = Call.Range;
-  for (const runtime::KArg &A : Call.Args) {
-    if (A.IsBuffer) {
-      Desc.Args.push_back(mcl::LaunchArg::buffer(Bufs[A.Buf][D].get()));
-    } else {
-      mcl::LaunchArg L;
-      L.IntValue = A.IntValue;
-      L.FpValue = A.FpValue;
-      Desc.Args.push_back(L);
-    }
-  }
+  for (const runtime::KArg &A : Call.Args)
+    Desc.Args.push_back(A.toLaunchArg(
+        [&](runtime::BufferId Id) { return Bufs[Id][D].get(); }));
   mcl::EventPtr Ev = Qs[D]->enqueueKernel(std::move(Desc));
   Ev->onComplete([this, N] {
     race::Section RaceS(RaceSec);

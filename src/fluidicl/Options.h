@@ -19,6 +19,8 @@
 #include "check/Diag.h"
 #include "hw/CostModel.h"
 
+#include <string>
+
 namespace fcl {
 namespace fluidicl {
 
@@ -59,6 +61,11 @@ struct Options {
   /// DiagSink, ProtocolChecker and ShimLint (Fail additionally makes tools
   /// exit non-zero on error diagnostics).
   check::Policy Check = check::Policy::Off;
+
+  /// Range rules: the initial chunk must be in (0, 100] and the step
+  /// >= 0. Empty when valid, else a one-line message naming the
+  /// fluidicl_sim flag. The Runtime constructor FCL_CHECKs it.
+  std::string validate() const;
 };
 
 } // namespace fluidicl

@@ -10,6 +10,7 @@
 #include "kern/Registry.h"
 #include "race/Race.h"
 #include "support/Error.h"
+#include "support/Format.h"
 #include "support/Log.h"
 #include "trace/Tracer.h"
 
@@ -19,6 +20,16 @@
 using namespace fcl;
 using namespace fcl::fluidicl;
 
+std::string Options::validate() const {
+  // Negated so that NaN fails too.
+  if (!(InitialChunkPct > 0 && InitialChunkPct <= 100))
+    return formatString("--chunk must be in (0, 100] (got %g)",
+                        InitialChunkPct);
+  if (!(StepPct >= 0))
+    return formatString("--step must be >= 0 (got %g)", StepPct);
+  return "";
+}
+
 Runtime::Runtime(mcl::Context &Ctx, Options Opts)
     : HeteroRuntime(Ctx), Opts(Opts), Diags(Opts.Check),
       GpuAppQueue(Ctx.createQueue(Ctx.gpu(), "fcl-gpu-app")),
@@ -27,6 +38,8 @@ Runtime::Runtime(mcl::Context &Ctx, Options Opts)
       DhQueue(Ctx.createQueue(Ctx.gpu(), "fcl-dh")),
       StatusBuf(Ctx.createBuffer(Ctx.gpu(), 64, "fcl-status")),
       Pool(Ctx, Ctx.gpu(), Opts.BufferPool) {
+  std::string Invalid = Opts.validate();
+  FCL_CHECK(Invalid.empty(), Invalid.c_str());
   // The threading plan for multi-simulator work is one lock per runtime:
   // every API entry point and completion callback declares this section,
   // and the race analyzer checks all shared-state accesses stay inside it.

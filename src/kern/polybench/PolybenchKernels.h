@@ -22,8 +22,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef FCL_KERN_POLYBENCH_POLYBENCHKERNELS_H
-#define FCL_KERN_POLYBENCH_POLYBENCHKERNELS_H
+#ifndef FCL_KERN_POLYBENCHKERNELS_H
+#define FCL_KERN_POLYBENCHKERNELS_H
 
 #include "kern/Kernel.h"
 #include "kern/Registry.h"
@@ -46,4 +46,4 @@ hw::WorkItemCost dotCost(double Trip, double BytesPerItem, double GpuCoal,
 } // namespace kern
 } // namespace fcl
 
-#endif // FCL_KERN_POLYBENCH_POLYBENCHKERNELS_H
+#endif // FCL_KERN_POLYBENCHKERNELS_H

@@ -1,4 +1,4 @@
-//===- prof/BenchReport.cpp - Host benchmark reports ----------------------===//
+//===- prof/BenchReport.cpp - Host benchmark measures ---------------------===//
 //
 // Part of the FluidiCL reproduction. MIT license.
 //
@@ -6,15 +6,9 @@
 
 #include "prof/BenchReport.h"
 
-#include "support/Format.h"
-#include "support/Json.h"
-
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
-
-using namespace fcl;
-using namespace fcl::prof;
 
 uint64_t fcl::prof::peakRssBytes() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -29,41 +23,4 @@ uint64_t fcl::prof::peakRssBytes() {
 #else
   return 0;
 #endif
-}
-
-void BenchReport::attachProfile(const Snapshot &S, size_t N) {
-  Profile = S.topByExclusive(N);
-  Counters = S.Counters;
-}
-
-std::string BenchReport::toJson() const {
-  std::string Out;
-  JsonWriter W(Out);
-  W.object()
-      .str("schema", "fcl-bench-report-v1")
-      .str("name", Name)
-      .str("suite", Suite)
-      .object("meta");
-  for (const auto &[K, V] : Meta)
-    W.str(K, V);
-  W.end().object("metrics");
-  for (const auto &[K, V] : Metrics)
-    W.num(K, "%.9g", V);
-  W.end().num("peak_rss_bytes", PeakRss).array("profile");
-  for (const PhaseStats &P : Profile)
-    W.object(JsonWriter::Inline)
-        .str("path", P.Path)
-        .num("count", P.Count)
-        .num("inclusive_ms", "%.6f", P.inclusiveMs())
-        .num("exclusive_ms", "%.6f", P.exclusiveMs())
-        .end();
-  W.end().object("counters");
-  for (const auto &[K, V] : Counters)
-    W.num(K, V);
-  W.end().end();
-  return Out;
-}
-
-bool BenchReport::write(const std::string &Path) const {
-  return writeFile(Path, toJson());
 }

@@ -1,65 +1,26 @@
-//===- prof/BenchReport.h - Host benchmark reports --------------*- C++ -*-===//
+//===- prof/BenchReport.h - Host benchmark measures -------------*- C++ -*-===//
 //
 // Part of the FluidiCL reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The schema-versioned host-performance report every benchmark harness
-/// emits: `BENCH_<name>.json` (schema "fcl-bench-report-v1") holding
-/// wall-clock metrics (events/sec, wall-sec per sim-sec, requests/sec,
-/// ns per op), peak RSS, the profiler's top-N self-time phases and churn
-/// counters. `scripts/bench_check.py` diffs these files against the
-/// checked-in baselines under bench/baselines/ and fails CI on
-/// regressions (see docs/OBSERVABILITY.md, "Host performance").
+/// Process-level measures a host benchmark reads besides the profiler's
+/// phases: today the peak resident set size, which perfbench reports as
+/// `peak_rss_mb` (see docs/OBSERVABILITY.md, "Host performance").
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FCL_PROF_BENCHREPORT_H
 #define FCL_PROF_BENCHREPORT_H
 
-#include "prof/Profiler.h"
-
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace fcl {
 namespace prof {
 
 /// Peak resident set size of this process, in bytes (0 if unavailable).
 uint64_t peakRssBytes();
-
-/// One benchmark scenario's results, serializable as BENCH_<name>.json.
-struct BenchReport {
-  /// Scenario name; the file is conventionally BENCH_<Name>.json.
-  std::string Name;
-  /// Which suite produced it ("ci", "full", "smoke", "micro").
-  std::string Suite;
-  /// Free-form string facts about the run (machine, mode, sizes, repeat
-  /// count) echoed into "meta".
-  std::map<std::string, std::string> Meta;
-  /// The gated numbers. Naming conventions bench_check.py understands:
-  /// "*_per_sec" / "*_rps" are higher-better; "*_sec", "*_ms",
-  /// "*_ns_per_op" and "overhead_pct" are lower-better.
-  std::map<std::string, double> Metrics;
-  /// Profiler phases recorded while the scenario ran with profiling on.
-  std::vector<PhaseStats> Profile;
-  /// Profiler churn counters from the same run.
-  std::map<std::string, uint64_t> Counters;
-  uint64_t PeakRss = 0;
-
-  /// Copies the top \p N self-time phases and all counters out of \p S.
-  void attachProfile(const Snapshot &S, size_t N);
-
-  /// Renders the "fcl-bench-report-v1" JSON document (sorted keys, fixed
-  /// formatting).
-  std::string toJson() const;
-
-  /// Writes toJson() to \p Path; false if the file cannot be written.
-  bool write(const std::string &Path) const;
-};
 
 } // namespace prof
 } // namespace fcl

@@ -244,13 +244,6 @@ std::vector<PhaseStats> Snapshot::topByExclusive(size_t N) const {
   return Out;
 }
 
-int64_t Snapshot::totalExclusiveNs() const {
-  int64_t Total = 0;
-  for (const PhaseStats &P : Phases)
-    Total += P.ExclusiveNs;
-  return Total;
-}
-
 std::string Snapshot::renderText(size_t TopN) const {
   std::string Out;
   if (Phases.empty() && Counters.empty())

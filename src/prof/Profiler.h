@@ -29,8 +29,8 @@
 /// The profiler is process-global and disabled by default; the disabled
 /// fast path is one relaxed atomic load. When enabled, a scope costs two
 /// monotonic clock reads plus two relaxed atomic adds on a per-thread
-/// tree node - cheap enough to leave in per-chunk and per-request paths
-/// (the `fluidicl_bench` harness gates measured overhead at < 5%).
+/// tree node - cheap enough to leave in per-chunk and per-request paths.
+/// perfbench reports the measured cost as `prof.overhead_frac` (not gated).
 ///
 /// Thread safety: each thread owns its phase tree (no cross-thread
 /// contention on the hot path); snapshot() merges all threads' trees by
@@ -92,10 +92,6 @@ struct Snapshot {
   /// The N phases with the largest exclusive time, descending (ties by
   /// path so the order is reproducible).
   std::vector<PhaseStats> topByExclusive(size_t N) const;
-
-  /// Sum of exclusive time over all phases (== total time under any
-  /// profiled scope, without double-counting nesting).
-  int64_t totalExclusiveNs() const;
 
   /// Human-readable tree + counters; \p TopN != 0 appends a top-N
   /// self-time table.

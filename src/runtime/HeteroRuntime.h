@@ -27,6 +27,7 @@
 
 #include "kern/NDRange.h"
 #include "mcl/Context.h"
+#include "mcl/Launch.h"
 #include "stats/Registry.h"
 #include "stats/Report.h"
 
@@ -63,6 +64,20 @@ struct KArg {
     KArg A;
     A.FpValue = D;
     A.IntValue = static_cast<int64_t>(D);
+    return A;
+  }
+
+  /// The launch-time form of this argument: scalars copy their values,
+  /// buffers become \p BufferOf(Buf), the mcl::Buffer on the launching
+  /// device. \p BufferOf runs only for buffer arguments, since a lookup
+  /// may create a device copy.
+  template <class BufferFn>
+  mcl::LaunchArg toLaunchArg(BufferFn &&BufferOf) const {
+    if (IsBuffer)
+      return mcl::LaunchArg::buffer(BufferOf(Buf));
+    mcl::LaunchArg A;
+    A.IntValue = IntValue;
+    A.FpValue = FpValue;
     return A;
   }
 };

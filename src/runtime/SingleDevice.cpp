@@ -69,16 +69,9 @@ SingleDeviceRuntime::buildLaunch(const std::string &KernelName,
   mcl::LaunchDesc Desc;
   Desc.Kernel = &Kernel;
   Desc.Range = Range;
-  for (size_t I = 0; I < Args.size(); ++I) {
-    if (Args[I].IsBuffer) {
-      Desc.Args.push_back(mcl::LaunchArg::buffer(&buf(Args[I].Buf).on(Dev)));
-    } else {
-      mcl::LaunchArg A;
-      A.IntValue = Args[I].IntValue;
-      A.FpValue = Args[I].FpValue;
-      Desc.Args.push_back(A);
-    }
-  }
+  for (const KArg &A : Args)
+    Desc.Args.push_back(
+        A.toLaunchArg([&](BufferId Id) { return &buf(Id).on(Dev); }));
   return Desc;
 }
 

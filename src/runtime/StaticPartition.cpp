@@ -84,16 +84,9 @@ void StaticPartitionRuntime::launchOn(mcl::Device &Dev,
   Desc.Range = Range;
   Desc.FlatBegin = FlatBegin;
   Desc.FlatEnd = FlatEnd;
-  for (const KArg &A : Args) {
-    if (A.IsBuffer) {
-      Desc.Args.push_back(mcl::LaunchArg::buffer(&buf(A.Buf).on(Dev)));
-    } else {
-      mcl::LaunchArg L;
-      L.IntValue = A.IntValue;
-      L.FpValue = A.FpValue;
-      Desc.Args.push_back(L);
-    }
-  }
+  for (const KArg &A : Args)
+    Desc.Args.push_back(
+        A.toLaunchArg([&](BufferId Id) { return &buf(Id).on(Dev); }));
   Done = Queue.enqueueKernel(std::move(Desc));
 }
 

@@ -123,16 +123,9 @@ void SingleJobExec::start(DoneFn Done) {
     mcl::LaunchDesc Desc;
     Desc.Kernel = &kern::Registry::builtin().get(Call.Kernel);
     Desc.Range = Call.Range;
-    for (const runtime::KArg &A : Call.Args) {
-      if (A.IsBuffer) {
-        Desc.Args.push_back(mcl::LaunchArg::buffer(Bufs[A.Buf].get()));
-      } else {
-        mcl::LaunchArg L;
-        L.IntValue = A.IntValue;
-        L.FpValue = A.FpValue;
-        Desc.Args.push_back(L);
-      }
-    }
+    for (const runtime::KArg &A : Call.Args)
+      Desc.Args.push_back(A.toLaunchArg(
+          [&](runtime::BufferId Id) { return Bufs[Id].get(); }));
     Q->enqueueKernel(std::move(Desc));
   }
   Results.resize(W.ResultBuffers.size());

@@ -142,16 +142,9 @@ void SoclRuntime::launchKernel(const std::string &KernelName,
   mcl::LaunchDesc Desc;
   Desc.Kernel = &Kernel;
   Desc.Range = Range;
-  for (const runtime::KArg &A : Args) {
-    if (A.IsBuffer) {
-      Desc.Args.push_back(mcl::LaunchArg::buffer(&buf(A.Buf).on(Dev)));
-    } else {
-      mcl::LaunchArg L;
-      L.IntValue = A.IntValue;
-      L.FpValue = A.FpValue;
-      Desc.Args.push_back(L);
-    }
-  }
+  for (const runtime::KArg &A : Args)
+    Desc.Args.push_back(A.toLaunchArg(
+        [&](runtime::BufferId Id) { return &buf(Id).on(Dev); }));
 
   // Measure the kernel alone (transfers excluded) for the history model,
   // bracketing it with an in-order queue callback.

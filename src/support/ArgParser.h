@@ -8,6 +8,8 @@
 /// A minimal declarative command-line parser for the tools: long options
 /// only ("--name=value" or "--name value" for valued options, "--name" for
 /// booleans), with typed accessors, defaults, and generated --help text.
+/// An option whose declared default is a number takes only numbers: parse()
+/// rejects any other value, so a typo never silently becomes 0.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,14 +36,22 @@ public:
                  const std::string &Default);
 
   /// Parses argv (excluding argv[0]). Returns false (and fills error())
-  /// on unknown options or missing values. "--help" sets helpRequested().
+  /// on unknown options, missing values, or a value that is not one
+  /// complete, finite number for an option with a numeric default.
+  /// "--help" sets helpRequested().
   bool parse(int Argc, const char *const *Argv);
 
   bool helpRequested() const { return HelpRequested; }
   const std::string &error() const { return Error; }
 
+  /// What a tool prints to stderr when parse() fails: "error: <error()>",
+  /// then the help text - except after a bad value, which stays one line.
+  std::string errorText() const;
+
   bool flag(const std::string &Name) const;
   const std::string &str(const std::string &Name) const;
+  /// The value as an integer; a fractional or exponent spelling that
+  /// parse() admitted ("2.5", "1e3") truncates toward zero, saturating.
   int64_t i64(const std::string &Name) const;
   double f64(const std::string &Name) const;
 
@@ -57,6 +67,8 @@ public:
 private:
   struct Decl {
     std::string Help;
+    /// As declared; --help shows it, whatever parse() stored in Value.
+    std::string Default;
     std::string Value;
     bool IsFlag = false;
     bool Given = false;
@@ -70,6 +82,8 @@ private:
   std::vector<std::string> Order;
   std::vector<std::string> Positional;
   std::string Error;
+  /// The last parse() failed on a value, not on the command line's shape.
+  bool BadValue = false;
   bool HelpRequested = false;
 };
 

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one JSON writer behind every report document (serve, cluster, run
-/// and bench reports). It appends straight to a caller-owned string and
+/// The one JSON writer behind every report document (serve, cluster and
+/// run reports). It appends straight to a caller-owned string and
 /// builds no tree: the caller opens containers, writes members in order
 /// and closes them; the writer places commas, newlines and indentation and
 /// escapes every string. Floats take the printf format the caller gives,

@@ -6,9 +6,9 @@
 //
 // Covers fcl::prof: nested-scope exclusive-time accounting, counter
 // aggregation, thread safety of concurrent scopes + snapshots (run under
-// TSan in CI), the BenchReport schema, and - the load-bearing invariant -
-// that enabling profiling leaves the simulated results byte-identical
-// (both the serve report and the run report).
+// TSan in CI), the peak-RSS probe, and - the load-bearing invariant - that
+// enabling profiling leaves the simulated results byte-identical (both the
+// serve report and the run report).
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <thread>
 #include <vector>
 
@@ -111,8 +110,8 @@ TEST_F(ProfTest, NestedScopesSplitExclusiveTime) {
   EXPECT_GE(Inner->InclusiveNs, 1'900'000);
   EXPECT_GE(Outer->ExclusiveNs, 1'500'000);
   EXPECT_LE(Outer->ExclusiveNs, Outer->InclusiveNs - 1'900'000);
-  // totalExclusiveNs never double-counts nesting (again up to per-phase
-  // conversion rounding).
+  // Self times sum to the outer inclusive time: nesting is never
+  // double-counted (again up to per-phase conversion rounding).
   EXPECT_NEAR(static_cast<double>(Outer->ExclusiveNs + Inner->ExclusiveNs),
               static_cast<double>(Outer->InclusiveNs), 32.0);
 }
@@ -210,41 +209,7 @@ TEST_F(ProfTest, ThreadSafetyUnderConcurrentScopesAndSnapshots) {
             static_cast<uint64_t>(Threads) * Iters);
 }
 
-TEST_F(ProfTest, BenchReportJsonRoundTrip) {
-  Profiler::instance().setEnabled(true);
-  {
-    FCL_PROF_SCOPE("test.bench_phase");
-    spinFor(100'000);
-  }
-  Profiler::instance().setEnabled(false);
-
-  BenchReport Rep;
-  Rep.Name = "unit";
-  Rep.Suite = "test";
-  Rep.Meta["purpose"] = "round trip";
-  Rep.Metrics["events_per_sec"] = 1234.5;
-  Rep.Metrics["overhead_pct"] = 0.5;
-  Rep.attachProfile(Profiler::instance().snapshot(), 4);
-  Rep.PeakRss = peakRssBytes();
-  EXPECT_GT(Rep.PeakRss, 0u);
-  ASSERT_FALSE(Rep.Profile.empty());
-
-  std::string Json = Rep.toJson();
-  EXPECT_NE(Json.find("\"schema\": \"fcl-bench-report-v1\""),
-            std::string::npos);
-  EXPECT_NE(Json.find("\"name\": \"unit\""), std::string::npos);
-  EXPECT_NE(Json.find("\"events_per_sec\""), std::string::npos);
-  EXPECT_NE(Json.find("test.bench_phase"), std::string::npos);
-  EXPECT_NE(Json.find("\"peak_rss_bytes\""), std::string::npos);
-
-  std::string Path =
-      testing::TempDir() + "/BENCH_unit_prof_test.json";
-  ASSERT_TRUE(Rep.write(Path));
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  ASSERT_NE(F, nullptr);
-  std::fclose(F);
-  std::remove(Path.c_str());
-}
+TEST_F(ProfTest, PeakRssBytesIsPositive) { EXPECT_GT(peakRssBytes(), 0u); }
 
 serve::ServeReport runServeOnce() {
   serve::EngineConfig Cfg;

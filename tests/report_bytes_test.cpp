@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Renders hand-filled serve, cluster, run and bench reports and compares
+// Renders hand-filled serve, cluster and run reports and compares
 // every byte with the documents kept in tests/golden/. Each report comes
 // in a "full" flavour (non-empty stats registry, DAG block, check and race
 // diagnostics holding a quote, a backslash, a tab and a 0x01 byte) and an
@@ -17,7 +17,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "cluster/Report.h"
-#include "prof/BenchReport.h"
 #include "serve/Metrics.h"
 #include "stats/Report.h"
 
@@ -268,27 +267,6 @@ stats::RunReport runReport(bool Full) {
   return R;
 }
 
-prof::BenchReport benchReport(bool Full) {
-  prof::BenchReport R;
-  R.Name = "serve_mixed";
-  R.Suite = Full ? "ci" : "smoke";
-  if (!Full)
-    return R;
-  R.Meta = {{"machine", "paper"}, {"mode", "timing \"only\""}};
-  R.Metrics = {{"requests_per_sec", 1234.5678}, {"wall_sec", 0.0421}};
-  prof::PhaseStats P;
-  P.Path = "sim.run/serve.dispatch";
-  P.Name = "serve.dispatch";
-  P.Depth = 1;
-  P.Count = 42;
-  P.InclusiveNs = 1500000;
-  P.ExclusiveNs = 250000;
-  R.Profile = {P};
-  R.Counters = {{"sim.events", 9000}, {"alloc", 12}};
-  R.PeakRss = 52428800;
-  return R;
-}
-
 } // namespace
 
 TEST(ReportBytesTest, ServeReportMatchesGolden) {
@@ -320,9 +298,4 @@ TEST(ReportBytesTest, RunReportsMatchGolden) {
   std::string Path = ::testing::TempDir() + "report_bytes_set.json";
   ASSERT_TRUE(stats::writeReportsJson({Full, Empty}, Path));
   expectGolden("run_set.json", readFile(Path));
-}
-
-TEST(ReportBytesTest, BenchReportMatchesGolden) {
-  expectGolden("bench_full.json", benchReport(true).toJson());
-  expectGolden("bench_empty.json", benchReport(false).toJson());
 }

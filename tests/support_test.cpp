@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/ArgParser.h"
 #include "support/Csv.h"
 #include "support/Format.h"
 #include "support/Json.h"
@@ -267,6 +268,77 @@ TEST(JsonWriterTest, LongFloatsAreNotTruncated) {
   std::string Out;
   JsonWriter(Out).object(JsonWriter::Inline).num("big", "%.6f", 1e80).end();
   EXPECT_EQ(Out, "{\"big\": " + formatString("%.6f", 1e80) + "}\n");
+}
+
+// --- ArgParser numeric options ----------------------------------------------
+
+/// Parses "--<Name>=<Value>" against one option with default \p Default.
+bool parseOne(ArgParser &P, const std::string &Name, const std::string &Value,
+              const std::string &Default) {
+  P.addOption(Name, "an option", Default);
+  std::string Arg = "--" + Name + "=" + Value;
+  const char *Argv[] = {Arg.c_str()};
+  return P.parse(1, Argv);
+}
+
+TEST(ArgParserValuesTest, NumericOptionRejectsJunkInOneLine) {
+  for (const char *Junk : {"xyz", "0.05x", "nan", "inf", "-inf", "1e999", "",
+                           " 5", "5 ", "1,5"}) {
+    ArgParser P("tool", "test");
+    EXPECT_FALSE(parseOne(P, "seed", Junk, "1")) << "'" << Junk << "'";
+    EXPECT_EQ(P.error(), formatString("option '--seed' expects a number "
+                                      "(got '%s')",
+                                      Junk));
+    EXPECT_EQ(P.errorText(), "error: " + P.error() + "\n");
+  }
+  ArgParser P("tool", "test");
+  P.addOption("duration", "seconds", "0.25");
+  const char *Argv[] = {"--duration", "abc"};
+  EXPECT_FALSE(P.parse(2, Argv));
+  EXPECT_EQ(P.error(), "option '--duration' expects a number (got 'abc')");
+}
+
+TEST(ArgParserValuesTest, NumericOptionTakesEveryNumberSpelling) {
+  struct Case {
+    const char *Text;
+    int64_t I;
+    double F;
+  };
+  for (Case C : {Case{"7", 7, 7.0}, Case{"-3", -3, -3.0},
+                 Case{"0.25", 0, 0.25}, Case{"2.5", 2, 2.5},
+                 Case{"-2.5", -2, -2.5}, Case{"1e3", 1000, 1000.0},
+                 Case{"1e300", INT64_MAX, 1e300},
+                 Case{"-1e300", INT64_MIN, -1e300}}) {
+    ArgParser P("tool", "test");
+    ASSERT_TRUE(parseOne(P, "n", C.Text, "8")) << C.Text;
+    EXPECT_EQ(P.i64("n"), C.I) << C.Text;
+    EXPECT_DOUBLE_EQ(P.f64("n"), C.F) << C.Text;
+  }
+}
+
+TEST(ArgParserValuesTest, StringOptionTakesAnyText) {
+  for (const char *Default : {"", "paper", "poisson:120"}) {
+    ArgParser P("tool", "test");
+    ASSERT_TRUE(parseOne(P, "name", "xyz", Default)) << Default;
+    EXPECT_EQ(P.str("name"), "xyz");
+  }
+}
+
+TEST(ArgParserValuesTest, HelpShowsTheDeclaredDefault) {
+  ArgParser P("tool", "test");
+  ASSERT_TRUE(parseOne(P, "duration", "3", "0.25"));
+  EXPECT_DOUBLE_EQ(P.f64("duration"), 3.0);
+  std::string Help = P.helpText();
+  EXPECT_NE(Help.find("(default: 0.25)"), std::string::npos) << Help;
+  EXPECT_EQ(Help.find("(default: 3)"), std::string::npos) << Help;
+}
+
+TEST(ArgParserValuesTest, ShapeErrorsStillPrintTheHelp) {
+  ArgParser P("tool", "test");
+  P.addOption("seed", "a seed", "1");
+  const char *Argv[] = {"--bogus"};
+  EXPECT_FALSE(P.parse(1, Argv));
+  EXPECT_EQ(P.errorText(), "error: " + P.error() + "\n" + P.helpText());
 }
 
 TEST(WriteFileTest, WritesBytesAndReportsFailure) {

@@ -72,8 +72,7 @@ int TierOptions::usageError(const std::string &Msg) {
 std::optional<int> TierOptions::parse(int Argc, char **Argv,
                                       serve::EngineConfig &Cfg) {
   if (!Args.parse(Argc - 1, Argv + 1)) {
-    std::fprintf(stderr, "error: %s\n%s", Args.error().c_str(),
-                 Args.helpText().c_str());
+    std::fprintf(stderr, "%s", Args.errorText().c_str());
     return 1;
   }
   if (Args.helpRequested()) {

@@ -3,7 +3,8 @@
 # problem - never an abort (134), never a silent fallback. The table's
 # rows fall in three groups, and ROWS picks the one to run: machine
 # (unknown --machine names), policy (unknown policy and placement names)
-# or range (out-of-range numbers). Invoked by ctest as
+# or range (junk and out-of-range numbers, and fluidicl_sim's --runtime
+# and --workload names). Invoked by ctest as
 #
 #   cmake -DROWS=<machine|policy|range>
 #         -DSIM=<fluidicl_sim> -DCHECK=<fluidicl_check>
@@ -67,5 +68,26 @@ expect_error(range "${TIERS}" "--threshold must be >= 0" --threshold=-1)
 expect_error(range CLUSTER "--workers must be in" --workers=0)
 expect_error(range CLUSTER "--quantum-ms must be > 0" --quantum-ms=0)
 expect_error(range CLUSTER "--link-us must be >= 0" --link-us=-5)
+# Junk numbers: every option with a numeric default takes one complete,
+# finite number.
+expect_error(range "${TIERS}" "option '--seed' expects a number" --seed=xyz)
+expect_error(range "${TIERS}" "option '--duration' expects a number"
+             --duration=0.05x)
+expect_error(range "${TIERS}" "option '--duration' expects a number"
+             --duration=inf)
+expect_error(range "${TIERS}" "option '--slo-ms' expects a number"
+             --slo-ms=nan)
+expect_error(range SIM "option '--size' expects a number" --size=abc)
+# fluidicl_sim's own ranges (fluidicl::Options::validate for the chunks).
+expect_error(range SIM "--chunk must be in" --chunk=0)
+expect_error(range SIM "--chunk must be in" --chunk=200)
+expect_error(range SIM "--step must be >= 0" --step=-3)
+foreach(SIZE 1 16 48 -5)
+  expect_error(range SIM "--size must be 0 or a positive multiple of 32"
+               --size=${SIZE})
+endforeach()
+expect_error(range SIM "--gpu-fraction must be in" --gpu-fraction=2)
+expect_error(range SIM "unknown --runtime 'bogus'" --runtime=bogus)
+expect_error(range SIM "unknown --workload 'bogus'" --workload=bogus)
 
 message(STATUS "every tool rejects every bad ${ROWS} value it takes cleanly")

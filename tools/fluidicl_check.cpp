@@ -146,8 +146,7 @@ int main(int Argc, char **Argv) {
                  "paper");
 
   if (!Args.parse(Argc - 1, Argv + 1)) {
-    std::fprintf(stderr, "error: %s\n%s", Args.error().c_str(),
-                 Args.helpText().c_str());
+    std::fprintf(stderr, "%s", Args.errorText().c_str());
     return 1;
   }
   if (Args.helpRequested()) {

@@ -25,11 +25,13 @@
 #include "socl/SoclRuntime.h"
 #include "support/ArgParser.h"
 #include "support/Csv.h"
+#include "support/Error.h"
 #include "support/Format.h"
 #include "support/Table.h"
 #include "trace/Tracer.h"
 #include "work/Driver.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 
@@ -66,10 +68,16 @@ std::vector<Workload> selectWorkloads(const std::string &Name, int64_t Size) {
   return {};
 }
 
+/// The runtimes --runtime names; "all" runs every one of them.
+const std::vector<std::string> AllRuntimes = {
+    "cpu", "gpu", "static", "socl-eager", "socl-dmda", "fluidicl"};
+
 struct ToolConfig {
   hw::Machine M;
   mcl::ExecMode Mode = mcl::ExecMode::TimingOnly;
   fluidicl::Options FclOpts;
+  /// --size: 0 keeps each workload's default size.
+  int64_t Size = 0;
   double GpuFraction = 0.5;
   std::string TracePath;
   /// --stats / --stats-json / --stats-csv.
@@ -80,11 +88,24 @@ struct ToolConfig {
   bool statsWanted() const {
     return PrintStats || !StatsJsonPath.empty() || !StatsCsvPath.empty();
   }
+
+  /// Range rules for the tool's numbers, then FclOpts.validate(): empty
+  /// when valid, else a one-line message.
+  std::string validate() const {
+    // Every Polybench kernel tiles its data in 32x32 work-groups.
+    if (Size < 0 || Size % 32 != 0)
+      return formatString("--size must be 0 or a positive multiple of 32 "
+                          "(got %lld)",
+                          static_cast<long long>(Size));
+    if (!(GpuFraction >= 0 && GpuFraction <= 1))
+      return formatString("--gpu-fraction must be in [0, 1] (got %g)",
+                          GpuFraction);
+    return FclOpts.validate();
+  }
 };
 
-/// Runs one workload under one named runtime; returns the result (or a
-/// zero-duration result if the runtime name is unknown). When stats are
-/// requested the run's report is appended to \p Reports.
+/// Runs one workload under one of AllRuntimes; returns the result. When
+/// stats are requested the run's report is appended to \p Reports.
 RunResult runOne(const std::string &Runtime, const Workload &W,
                  const ToolConfig &Cfg, bool Validate,
                  std::vector<stats::RunReport> &Reports, bool &CheckFailed) {
@@ -130,7 +151,8 @@ RunResult runOne(const std::string &Runtime, const Workload &W,
     socl::SoclRuntime RT(Ctx, socl::Policy::Dmda, Model);
     Res = runWorkload(RT, W, Validate);
     Collect(RT);
-  } else if (Runtime == "fluidicl") {
+  } else {
+    FCL_CHECK(Runtime == "fluidicl", "runtime name not in AllRuntimes");
     fluidicl::Runtime RT(Ctx, Cfg.FclOpts);
     Res = runWorkload(RT, W, Validate);
     const check::DiagSink &Diags = RT.diagSink();
@@ -149,9 +171,6 @@ RunResult runOne(const std::string &Runtime, const Workload &W,
                   S.FinalChunkPct,
                   S.CpuRanEverything ? " (CPU ran everything)" : "");
     Collect(RT);
-  } else {
-    std::fprintf(stderr, "unknown runtime '%s'\n", Runtime.c_str());
-    return Res;
   }
 
   if (Cfg.PrintStats && !Reports.empty())
@@ -220,8 +239,7 @@ int main(int Argc, char **Argv) {
   Args.addOption("stats-csv", "write per-launch stats CSV to this path", "");
 
   if (!Args.parse(Argc - 1, Argv + 1)) {
-    std::fprintf(stderr, "error: %s\n%s", Args.error().c_str(),
-                 Args.helpText().c_str());
+    std::fprintf(stderr, "%s", Args.errorText().c_str());
     return 1;
   }
   if (Args.helpRequested()) {
@@ -239,6 +257,7 @@ int main(int Argc, char **Argv) {
   Cfg.M.GpuLoadFactor = Args.f64("gpu-load");
   Cfg.Mode = Args.flag("functional") ? mcl::ExecMode::Functional
                                      : mcl::ExecMode::TimingOnly;
+  Cfg.Size = Args.i64("size");
   Cfg.GpuFraction = Args.f64("gpu-fraction");
   Cfg.FclOpts.InitialChunkPct = Args.f64("chunk");
   Cfg.FclOpts.StepPct = Args.f64("step");
@@ -266,25 +285,35 @@ int main(int Argc, char **Argv) {
                  Args.str("races").c_str());
     return 1;
   }
+  if (std::string Invalid = Cfg.validate(); !Invalid.empty()) {
+    std::fprintf(stderr, "error: %s\n", Invalid.c_str());
+    return 1;
+  }
+  std::vector<std::string> Runtimes = AllRuntimes;
+  if (Args.str("runtime") != "all") {
+    Runtimes = {Args.str("runtime")};
+    if (std::find(AllRuntimes.begin(), AllRuntimes.end(), Runtimes[0]) ==
+        AllRuntimes.end()) {
+      std::fprintf(stderr,
+                   "error: unknown --runtime '%s' (cpu|gpu|static|"
+                   "socl-eager|socl-dmda|fluidicl|all)\n",
+                   Runtimes[0].c_str());
+      return 1;
+    }
+  }
 
   if (Args.flag("prof"))
     prof::Profiler::instance().setEnabled(true);
   race::armAnalyzer(RacesPol);
 
-  std::vector<Workload> Loads =
-      selectWorkloads(Args.str("workload"), Args.i64("size"));
+  std::vector<Workload> Loads = selectWorkloads(Args.str("workload"), Cfg.Size);
   if (Loads.empty()) {
-    std::fprintf(stderr, "unknown workload '%s'\n%s",
-                 Args.str("workload").c_str(), Args.helpText().c_str());
+    std::fprintf(stderr,
+                 "error: unknown --workload '%s' (atax|bicg|corr|gesummv|"
+                 "syrk|syr2k|mvt|gemm|2mm|paper|extended)\n",
+                 Args.str("workload").c_str());
     return 1;
   }
-
-  std::vector<std::string> Runtimes;
-  if (Args.str("runtime") == "all")
-    Runtimes = {"cpu", "gpu", "static", "socl-eager", "socl-dmda",
-                "fluidicl"};
-  else
-    Runtimes = {Args.str("runtime")};
 
   bool Validate = Args.flag("functional");
   bool AnyInvalid = false;
