@@ -54,26 +54,56 @@ uint32_t Analyzer::allocDomain() {
   return NextDomain++;
 }
 
+namespace {
+/// The first entry of sorted \p E whose key is not below \p Key.
+template <typename EntriesT> auto seek(EntriesT &E, uint32_t Key) {
+  return std::lower_bound(
+      E.begin(), E.end(), Key,
+      [](const auto &Entry, uint32_t K) { return Entry.first < K; });
+}
+
+/// The value at \p Key in sorted \p E; 0 when absent.
+template <typename EntriesT> uint64_t lookup(const EntriesT &E, uint32_t Key) {
+  auto It = seek(E, Key);
+  return It != E.end() && It->first == Key ? It->second : 0;
+}
+
+/// Raises the value at \p Key in sorted \p E to at least \p V.
+template <typename EntriesT>
+void raise(EntriesT &E, uint32_t Key, uint64_t V) {
+  auto It = seek(E, Key);
+  if (It == E.end() || It->first != Key)
+    E.insert(It, {Key, V});
+  else if (It->second < V)
+    It->second = V;
+}
+
+/// Copy-on-write access to the clock behind \p P (sole owners mutate in
+/// place).
+template <typename ClockT>
+ClockT &mutableClock(std::shared_ptr<const ClockT> &P) {
+  if (P.use_count() > 1)
+    P = std::make_shared<ClockT>(*P);
+  return const_cast<ClockT &>(*P);
+}
+} // namespace
+
 Analyzer::Task Analyzer::makeRootLocked(size_t Slot) {
   Task Root;
   Root.Seq = 0;
-  Root.Strand = Slot == 0 ? 0 : NextStrand++;
-  Root.Epoch = 1;
-  auto C = std::make_shared<Clock>();
-  (*C)[Root.Strand] = 1;
-  Root.Explicit = std::move(C);
-  NextEpoch[Root.Strand] = 2;
+  Root.Strand = static_cast<uint32_t>(History.size());
+  History.emplace_back();
   if (Slot == 0) {
     // The host root: strand 0, epoch 1, begun at version 0 (everything
     // covers it - the host schedules the first events).
-    History[0].push_back(HistEntry{1, 0, 0});
+    History[0].push_back(HistEntry{0, 0, true});
+    Root.Epoch = 1;
   } else {
     // Worker-thread roots begin at a real version in no domain, so they
     // are covered only by explicit clock/channel edges, never by drains.
-    ++Sum.StrandsCreated;
-    ++GlobalVersion;
-    History[Root.Strand].push_back(HistEntry{1, GlobalVersion, NoDomain});
+    Root.Epoch = beginEpochLocked(Root.Strand, NoDomain);
   }
+  Root.C = std::make_shared<Clock>(Clock{{{Root.Strand, Root.Epoch}}, {}});
   return Root;
 }
 
@@ -82,7 +112,6 @@ void Analyzer::resetLocked() {
   ++ThreadGen;
   PendingBySeq.clear();
   History.clear();
-  NextEpoch.clear();
   Sections.clear();
   Channels.clear();
   Leases.clear();
@@ -91,7 +120,6 @@ void Analyzer::resetLocked() {
   Findings.clear();
   FindingCount.store(0, std::memory_order_relaxed);
   Sum = Summary();
-  NextStrand = 1;
   GlobalVersion = 0;
   // The resetting thread is the host (slot 0).
   TlsGen = ThreadGen;
@@ -120,130 +148,102 @@ Analyzer::Task &Analyzer::currentLocked() {
   return S.Stack.back();
 }
 
-std::string Analyzer::taskLabelLocked() {
+std::string Analyzer::TaskRef::label() const {
+  if (Seq != 0)
+    return "event#" + std::to_string(Seq);
+  return Slot == 0 ? "host" : "thread#" + std::to_string(Slot);
+}
+
+Analyzer::TaskRef Analyzer::currentRefLocked() {
   ThreadState &S = stateLocked();
-  const Task &T = S.Stack.back();
-  if (T.Seq == 0) {
-    if (S.Slot == 0)
-      return "host";
-    std::ostringstream Os;
-    Os << "thread#" << S.Slot;
-    return Os.str();
-  }
-  std::ostringstream Os;
-  Os << "event#" << T.Seq;
-  return Os.str();
+  return TaskRef{S.Stack.back().Seq, S.Slot};
+}
+
+uint64_t Analyzer::beginEpochLocked(uint32_t Strand, uint32_t Domain) {
+  std::vector<HistEntry> &H = History[Strand];
+  bool OneDomain = H.empty() || H.back().Version == 0 ||
+                   (H.back().OneDomain && H.back().Domain == Domain);
+  H.push_back(HistEntry{++GlobalVersion, Domain, OneDomain});
+  return H.size();
 }
 
 const Analyzer::HistEntry *Analyzer::beginOf(uint32_t Strand,
                                              uint64_t Epoch) const {
-  auto It = History.find(Strand);
-  if (It == History.end())
+  if (Strand >= History.size() || Epoch == 0 ||
+      Epoch > History[Strand].size())
     return nullptr;
-  const auto &H = It->second;
-  auto P = std::lower_bound(H.begin(), H.end(), Epoch,
-                            [](const HistEntry &E, uint64_t V) {
-                              return E.Epoch < V;
-                            });
-  if (P == H.end() || P->Epoch != Epoch)
-    return nullptr;
-  return &*P;
+  return &History[Strand][Epoch - 1];
 }
 
 bool Analyzer::coversLocked(const Task &T, uint32_t Strand,
                             uint64_t Epoch) const {
   if (T.Strand == Strand && T.Epoch >= Epoch)
     return true;
-  if (T.Explicit) {
-    auto It = T.Explicit->find(Strand);
-    if (It != T.Explicit->end() && It->second >= Epoch)
-      return true;
-  }
+  if (lookup(T.C->Explicit, Strand) >= Epoch)
+    return true;
+  return drainedLocked(T.C->Drains, Strand, Epoch, /*AndEarlier=*/false);
+}
+
+bool Analyzer::drainedLocked(const Entries &Drains, uint32_t Strand,
+                             uint64_t Epoch, bool AndEarlier) const {
   // Drain joins: the task waited for everything the access's domain had
   // begun up to its watermark version. Never crosses domains - another
-  // simulator's events may still be running on another thread.
+  // simulator's events may still be running on another thread. Versions
+  // grow with epochs, so the drain covers the strand's earlier epochs too
+  // when they all began in the same domain.
   const HistEntry *E = beginOf(Strand, Epoch);
   if (!E)
     return false;
   if (E->Version == 0)
     return true; // the pre-history host root
-  auto It = T.Drains.find(E->Domain);
-  return It != T.Drains.end() && It->second >= E->Version;
+  return (!AndEarlier || E->OneDomain) &&
+         lookup(Drains, E->Domain) >= E->Version;
 }
 
-Analyzer::Clock &Analyzer::mutableClockLocked(Task &T) {
-  if (!T.Explicit) {
-    auto C = std::make_shared<Clock>();
-    T.Explicit = C;
-    return *C;
-  }
-  if (T.Explicit.use_count() > 1) {
-    auto C = std::make_shared<Clock>(*T.Explicit);
-    T.Explicit = C;
-    return *C;
-  }
-  // Sole owner: mutate in place.
-  return const_cast<Clock &>(*T.Explicit);
+void Analyzer::pruneLocked(Clock &C) {
+  std::erase_if(C.Explicit, [&](const auto &E) {
+    return drainedLocked(C.Drains, E.first, E.second, /*AndEarlier=*/true);
+  });
+  Sum.MaxClockEntries = std::max<uint64_t>(Sum.MaxClockEntries,
+                                           C.Explicit.size());
 }
 
-void Analyzer::joinLocked(Task &T, const Stamp &S) {
-  for (const auto &[Domain, V] : S.Drains) {
-    uint64_t &E = T.Drains[Domain];
-    if (V > E)
-      E = V;
-  }
-  if (!S.Explicit || S.Explicit == T.Explicit)
+void Analyzer::mergeLocked(Clock &Dst, const Clock &Src) {
+  for (const auto &[Domain, V] : Src.Drains)
+    raise(Dst.Drains, Domain, V);
+  for (const auto &[Strand, Epoch] : Src.Explicit)
+    raise(Dst.Explicit, Strand, Epoch);
+  pruneLocked(Dst);
+}
+
+void Analyzer::joinLocked(ClockPtr &Dst, const ClockPtr &Src) {
+  if (!Src || Src == Dst)
     return;
-  Clock &C = mutableClockLocked(T);
-  for (const auto &[Strand, Epoch] : *S.Explicit) {
-    uint64_t &E = C[Strand];
-    if (Epoch > E)
-      E = Epoch;
-  }
-}
-
-Analyzer::Stamp Analyzer::stampLocked(const Task &T) const {
-  return Stamp{T.Explicit, T.Drains};
-}
-
-void Analyzer::mergeStampLocked(Stamp &Dst, const Stamp &Src) {
-  for (const auto &[Domain, V] : Src.Drains) {
-    uint64_t &E = Dst.Drains[Domain];
-    if (V > E)
-      E = V;
-  }
-  if (!Src.Explicit || Src.Explicit == Dst.Explicit)
-    return;
-  if (!Dst.Explicit) {
-    Dst.Explicit = Src.Explicit;
+  if (!Dst) {
+    Dst = Src;
     return;
   }
-  // Clone only when the source actually advances an entry (the common
+  // Clone only when the source actually advances the clock (the common
   // case is the same task re-publishing an unchanged clock).
-  bool Advances = false;
-  for (const auto &[Strand, Epoch] : *Src.Explicit) {
-    auto It = Dst.Explicit->find(Strand);
-    if (It == Dst.Explicit->end() || It->second < Epoch) {
-      Advances = true;
-      break;
-    }
-  }
-  if (!Advances)
-    return;
-  auto C = std::make_shared<Clock>(*Dst.Explicit);
-  for (const auto &[Strand, Epoch] : *Src.Explicit) {
-    uint64_t &E = (*C)[Strand];
-    if (Epoch > E)
-      E = Epoch;
-  }
-  Dst.Explicit = std::move(C);
+  auto Advances = [&] {
+    for (const auto &[Domain, V] : Src->Drains)
+      if (V > lookup(Dst->Drains, Domain))
+        return true;
+    for (const auto &[Strand, Epoch] : Src->Explicit)
+      if (Epoch > lookup(Dst->Explicit, Strand) &&
+          !drainedLocked(Dst->Drains, Strand, Epoch, /*AndEarlier=*/true))
+        return true;
+    return false;
+  };
+  if (Advances())
+    mergeLocked(mutableClock(Dst), *Src);
 }
 
 void Analyzer::onSchedule(uint64_t Seq, uint32_t Domain) {
   std::lock_guard<std::mutex> Lock(Mu);
   Task &Cur = currentLocked();
   Pending P;
-  P.At = stampLocked(Cur);
+  P.At = Cur.C;
   // Strand compression: the first event a task schedules continues the
   // task's strand at the next epoch, so completion chains reuse one
   // strand and clocks stay small.
@@ -263,7 +263,7 @@ void Analyzer::onEventBegin(uint64_t Seq, uint32_t Domain) {
   // loop - a real happens-before edge. This is what orders a worker's
   // next-epoch events after the cluster master's barrier-time mutations
   // (the worker root joins the master's channel, then pumps the loop).
-  Stamp PumpedAfter = stampLocked(S.Stack.back());
+  ClockPtr PumpedAfter = S.Stack.back().C;
   Pending P;
   auto It = PendingBySeq.find(std::make_pair(Domain, Seq));
   if (It != PendingBySeq.end()) {
@@ -277,22 +277,15 @@ void Analyzer::onEventBegin(uint64_t Seq, uint32_t Domain) {
   if (P.TakesParentStrand) {
     T.Strand = P.ParentStrand;
   } else {
-    T.Strand = NextStrand++;
-    ++Sum.StrandsCreated;
+    T.Strand = static_cast<uint32_t>(History.size());
+    History.emplace_back();
   }
-  uint64_t &Next = NextEpoch[T.Strand];
-  if (Next == 0)
-    Next = 1;
-  T.Epoch = Next++;
-  T.Explicit = P.At.Explicit;
-  T.Drains = std::move(P.At.Drains);
-  ++GlobalVersion;
-  History[T.Strand].push_back(HistEntry{T.Epoch, GlobalVersion, Domain});
+  T.Epoch = beginEpochLocked(T.Strand, Domain);
+  auto C = P.At ? std::make_shared<Clock>(*P.At) : std::make_shared<Clock>();
+  raise(C->Explicit, T.Strand, T.Epoch);
+  mergeLocked(*C, *PumpedAfter);
+  T.C = std::move(C);
   S.Stack.push_back(std::move(T));
-  mutableClockLocked(S.Stack.back())[S.Stack.back().Strand] =
-      S.Stack.back().Epoch;
-  joinLocked(S.Stack.back(), PumpedAfter);
-  ++Sum.TasksExecuted;
 }
 
 void Analyzer::onEventEnd() {
@@ -312,19 +305,20 @@ void Analyzer::onDrainExit(uint32_t Domain) {
   // Returning from a blocking run loop means every event this simulator
   // began so far has finished (or is an ancestor on this very stack):
   // join them all. O(1) thanks to the begin-version history.
-  uint64_t &V = currentLocked().Drains[Domain];
-  if (GlobalVersion > V)
-    V = GlobalVersion;
-  ++Sum.DrainJoins;
+  Task &Cur = currentLocked();
+  if (lookup(Cur.C->Drains, Domain) >= GlobalVersion)
+    return;
+  Clock &C = mutableClock(Cur.C);
+  raise(C.Drains, Domain, GlobalVersion);
+  pruneLocked(C);
 }
 
 void Analyzer::sectionEnter(const std::string &Name) {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++Sum.SectionOps;
   Task &Cur = currentLocked();
   auto It = Sections.find(Name);
   if (It != Sections.end())
-    joinLocked(Cur, It->second);
+    joinLocked(Cur.C, It->second);
   ++Cur.Held[Name];
 }
 
@@ -335,7 +329,7 @@ void Analyzer::sectionExit(const std::string &Name) {
   // prior release, and simulated sections can overlap (an inline-pumped
   // nested event enters and exits while an outer event still holds the
   // scope), so last-writer-wins would drop the nested publish.
-  mergeStampLocked(Sections[Name], stampLocked(Cur));
+  joinLocked(Sections[Name], Cur.C);
   auto It = Cur.Held.find(Name);
   if (It != Cur.Held.end() && --It->second == 0)
     Cur.Held.erase(It);
@@ -343,58 +337,56 @@ void Analyzer::sectionExit(const std::string &Name) {
 
 void Analyzer::hbPublish(const std::string &Chan) {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++Sum.ChannelOps;
-  mergeStampLocked(Channels[Chan], stampLocked(currentLocked()));
+  joinLocked(Channels[Chan], currentLocked().C);
 }
 
 void Analyzer::hbJoin(const std::string &Chan) {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++Sum.ChannelOps;
   auto It = Channels.find(Chan);
   if (It != Channels.end())
-    joinLocked(currentLocked(), It->second);
+    joinLocked(currentLocked().C, It->second);
 }
 
 void Analyzer::leaseAcquire(const std::string &Name,
                             const std::string &Holder) {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++Sum.LeaseOps;
   LeaseState &L = Leases[Name];
   if (L.Held) {
     std::ostringstream Os;
-    Os << "lease '" << Name << "' acquired by " << taskLabelLocked() << " ('"
+    Os << "lease '" << Name << "' acquired by " << currentRefLocked().label()
+       << " ('"
        << Holder << "') while still held by '" << L.Holder
        << "' (overlapping ownership would corrupt the resource on OS "
           "threads)";
     recordFindingLocked(FindingKind::LeaseOverlap, Name, Os.str());
   } else {
-    joinLocked(currentLocked(), L.LastRelease);
+    joinLocked(currentLocked().C, L.LastRelease);
   }
   L.Held = true;
-  L.Holder = Holder.empty() ? taskLabelLocked() : Holder;
+  L.Holder = Holder.empty() ? currentRefLocked().label() : Holder;
 }
 
 void Analyzer::leaseRelease(const std::string &Name) {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++Sum.LeaseOps;
   LeaseState &L = Leases[Name];
   L.Held = false;
-  L.LastRelease = stampLocked(currentLocked());
+  // Task clocks are pruned whenever they are built, so the release
+  // shares the releasing task's clock as is.
+  L.LastRelease = currentLocked().C;
 }
 
 void Analyzer::guardEnter(const std::string &Name) {
   std::lock_guard<std::mutex> Lock(Mu);
-  ++Sum.GuardOps;
   GuardState &G = Guards[Name];
   if (G.Depth > 0) {
     std::ostringstream Os;
     Os << "non-reentrant scope '" << Name
-       << "' re-entered while active: first entered by " << G.Holder
-       << ", re-entered by " << taskLabelLocked()
+       << "' re-entered while active: first entered by " << G.Holder.label()
+       << ", re-entered by " << currentRefLocked().label()
        << " (a callback recursed into its own scope)";
     recordFindingLocked(FindingKind::ReentrantCallback, Name, Os.str());
   } else {
-    G.Holder = taskLabelLocked();
+    G.Holder = currentRefLocked();
   }
   ++G.Depth;
 }
@@ -409,7 +401,7 @@ void Analyzer::guardExit(const std::string &Name) {
 void Analyzer::checkAccessLocked(Shadow &Sh, const std::string &Object,
                                  const char *What, bool IsWrite) {
   Task &Cur = currentLocked();
-  std::string Label = taskLabelLocked();
+  TaskRef By = currentRefLocked();
   // Hybrid lockset rule: two accesses holding a common section are
   // mutually excluded on OS threads even when no release->acquire edge
   // orders them (the analyzer sees them overlap only because nested
@@ -424,8 +416,8 @@ void Analyzer::checkAccessLocked(Shadow &Sh, const std::string &Object,
                       const char *CurOp) {
     std::ostringstream Os;
     Os << "conflicting accesses to '" << Object << "': " << PrevOp << " '"
-       << Prev.What << "' by " << Prev.TaskLabel << " and " << CurOp << " '"
-       << What << "' by " << Label
+       << Prev.What << "' by " << Prev.By.label() << " and " << CurOp << " '"
+       << What << "' by " << By.label()
        << " are unordered by happens-before (a data race once simulators "
           "move onto OS threads)";
     recordFindingLocked(FindingKind::UnorderedAccess, Object, Os.str());
@@ -443,11 +435,11 @@ void Analyzer::checkAccessLocked(Shadow &Sh, const std::string &Object,
       if (!coversLocked(Cur, R.Strand, R.Epoch) && !SharesLock(R))
         Complain(R, "read", "write");
     Sh.HasWrite = true;
-    Sh.LastWrite = Access{Cur.Strand, Cur.Epoch, What, Label, Locks};
+    Sh.LastWrite = Access{Cur.Strand, Cur.Epoch, By, What, std::move(Locks)};
     Sh.Reads.clear();
   } else {
     Sh.Reads[Cur.Strand] =
-        Access{Cur.Strand, Cur.Epoch, What, Label, std::move(Locks)};
+        Access{Cur.Strand, Cur.Epoch, By, What, std::move(Locks)};
   }
 }
 

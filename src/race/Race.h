@@ -42,6 +42,18 @@
 /// to the current version. A drain never covers another simulator's
 /// events - on OS threads those may still be running.
 ///
+/// Drains also retire strands. Whenever a clock is built (an event
+/// begins, a drain returns, a clock is joined or published), each explicit
+/// entry (strand s, epoch E) that the same clock's drains already cover is
+/// dropped: every epoch of s up to E began in one domain d (or is the
+/// host's pre-history root) and the clock's drain of d is at or past the
+/// version at which (s, E) began. Entries of strands that crossed domains
+/// (the cluster master's continuation into a worker's simulator) or began
+/// in none (worker-thread roots) are always kept: only they order those
+/// epochs. No happens-before answer changes, and clocks stay a few entries
+/// long however long the run: 7-8 in a 16-stream serve run from 0.125 s
+/// to 3 s of simulated time.
+///
 /// Tasks live on per-thread stacks: each OS thread that touches the
 /// analyzer gets its own root task on first contact (the resetting thread
 /// is the host; workers are thread#N), so concurrently executing events on
@@ -50,7 +62,10 @@
 /// The analyzer is a process-wide singleton like prof::Profiler: disabled
 /// (the default) every hook is one relaxed atomic load, and enabling it
 /// never perturbs simulated time, scheduling order, or report bytes -
-/// same-seed runs are byte-identical with the analyzer on or off.
+/// same-seed runs are byte-identical with the analyzer on or off. Armed,
+/// it costs a constant per hook: a 16-stream serve run takes about twice
+/// its plain time at 0.25, 0.5, 1 and 3 s of simulated time alike
+/// (docs/ANALYSIS.md tables them).
 ///
 /// Findings convert into check::DiagSink diagnostics through race/Bridge.h
 /// (kept separate so this core depends on fcl_support only and the
@@ -104,16 +119,11 @@ struct Finding {
   uint64_t Repeats = 1;
 };
 
-/// Cheap whole-run counters for summary lines.
+/// Whole-run counters.
 struct Summary {
-  uint64_t TasksExecuted = 0;
-  uint64_t StrandsCreated = 0;
   uint64_t AccessesChecked = 0;
-  uint64_t SectionOps = 0;
-  uint64_t LeaseOps = 0;
-  uint64_t GuardOps = 0;
-  uint64_t DrainJoins = 0;
-  uint64_t ChannelOps = 0;
+  /// Explicit entries of the largest vector clock built since the reset.
+  uint64_t MaxClockEntries = 0;
 };
 
 /// The process-wide happens-before analyzer.
@@ -205,19 +215,20 @@ public:
 private:
   Analyzer() { resetLocked(); }
 
-  // Strand-compressed vector clock: strand id -> latest joined epoch.
-  using Clock = std::map<uint32_t, uint64_t>;
-  using ClockPtr = std::shared_ptr<const Clock>;
-  /// Per-domain drain watermarks: domain -> highest global version whose
-  /// events (begun in that domain) this task has joined.
-  using DrainMap = std::map<uint32_t, uint64_t>;
+  /// A small map kept as a vector sorted by key: clocks hold a few
+  /// entries, so this costs one allocation where a std::map costs a node
+  /// per entry.
+  using Entries = std::vector<std::pair<uint32_t, uint64_t>>;
 
-  /// A published clock: the explicit (small) part plus "everything domain
-  /// D begun up to version V" from drain joins.
-  struct Stamp {
-    ClockPtr Explicit;
-    DrainMap Drains;
+  /// A vector clock: strand-compressed explicit entries (strand -> latest
+  /// joined epoch) plus per-domain drain watermarks (domain -> highest
+  /// global version whose events, begun in that domain, it has joined).
+  /// Shared copy-on-write between tasks, fork snapshots and sections.
+  struct Clock {
+    Entries Explicit;
+    Entries Drains;
   };
+  using ClockPtr = std::shared_ptr<const Clock>;
 
   /// One executing logical task (a thread's root, or an event on that
   /// thread's task stack).
@@ -225,8 +236,7 @@ private:
     uint64_t Seq = 0; // 0 = a thread root task.
     uint32_t Strand = 0;
     uint64_t Epoch = 0;
-    ClockPtr Explicit;
-    DrainMap Drains;
+    ClockPtr C;
     bool ForkedContinuation = false;
     /// Sections this task itself has entered and not yet exited (name ->
     /// depth). Deliberately NOT inherited by nested inline-pumped events:
@@ -244,16 +254,25 @@ private:
 
   /// Fork-edge snapshot taken at schedule time.
   struct Pending {
-    Stamp At;
+    ClockPtr At;
     bool TakesParentStrand = false;
     uint32_t ParentStrand = 0;
+  };
+
+  /// Names a task for finding messages; formatted only when one is
+  /// recorded.
+  struct TaskRef {
+    uint64_t Seq = 0;
+    size_t Slot = 0;
+    /// "host", "thread#<slot>" or "event#<seq>".
+    std::string label() const;
   };
 
   struct Access {
     uint32_t Strand = 0;
     uint64_t Epoch = 0;
+    TaskRef By;
     std::string What;
-    std::string TaskLabel;
     /// Sections held by the accessing task at access time: two accesses
     /// sharing a held section are mutually excluded on OS threads even
     /// when no release->acquire edge orders them (hybrid lockset rule).
@@ -270,20 +289,21 @@ private:
   struct LeaseState {
     bool Held = false;
     std::string Holder;
-    Stamp LastRelease;
+    ClockPtr LastRelease;
   };
 
   struct GuardState {
     uint64_t Depth = 0;
-    std::string Holder;
+    TaskRef Holder;
   };
 
-  /// (strand, epoch) began at this global version, executing in this
-  /// domain. Epoch and Version columns both strictly increase per strand.
+  /// One epoch of a strand began at this global version, executing in
+  /// this domain. OneDomain: every earlier epoch of the strand, bar the
+  /// host's pre-history root, began in the same domain.
   struct HistEntry {
-    uint64_t Epoch = 0;
     uint64_t Version = 0;
     uint32_t Domain = 0;
+    bool OneDomain = true;
   };
 
   void resetLocked();
@@ -292,20 +312,26 @@ private:
   ThreadState &stateLocked();
   Task makeRootLocked(size_t Slot);
   Task &currentLocked();
-  std::string taskLabelLocked();
+  TaskRef currentRefLocked();
+  /// Begins the next epoch of \p Strand in \p Domain; returns the epoch.
+  uint64_t beginEpochLocked(uint32_t Strand, uint32_t Domain);
+  const HistEntry *beginOf(uint32_t Strand, uint64_t Epoch) const;
   /// True when access (Strand, Epoch) happens-before the current task.
   bool coversLocked(const Task &T, uint32_t Strand, uint64_t Epoch) const;
-  /// Joins \p S into the current task's clock.
-  void joinLocked(Task &T, const Stamp &S);
-  /// The current task's clock as a publishable stamp.
-  Stamp stampLocked(const Task &T) const;
-  /// Monotone stamp union: \p Dst covers everything it did plus \p Src
-  /// (sections accumulate; a would-be mutex acquire happens-after every
-  /// prior release, not just the latest).
-  void mergeStampLocked(Stamp &Dst, const Stamp &Src);
-  /// Mutable copy-on-write access to \p T's explicit clock.
-  Clock &mutableClockLocked(Task &T);
-  const HistEntry *beginOf(uint32_t Strand, uint64_t Epoch) const;
+  /// True when \p Drains alone order (Strand, Epoch) - and, with
+  /// \p AndEarlier, every earlier epoch of the strand, so that an explicit
+  /// entry for them is redundant.
+  bool drainedLocked(const Entries &Drains, uint32_t Strand, uint64_t Epoch,
+                     bool AndEarlier) const;
+  /// Drops \p C's drained explicit entries; call on every clock built.
+  void pruneLocked(Clock &C);
+  /// Raises \p Dst to cover \p Src, then prunes it.
+  void mergeLocked(Clock &Dst, const Clock &Src);
+  /// Monotone clock union: \p Dst (a task's clock, or a section's or
+  /// channel's accumulated one) covers everything it did plus \p Src.
+  /// Sections accumulate: a would-be mutex acquire happens-after every
+  /// prior release, not just the latest.
+  void joinLocked(ClockPtr &Dst, const ClockPtr &Src);
   void recordFindingLocked(FindingKind Kind, const std::string &Object,
                            std::string Message);
   void checkAccessLocked(Shadow &Sh, const std::string &Object,
@@ -324,15 +350,14 @@ private:
   /// Bumped by reset() to invalidate the thread-local slot cache.
   uint64_t ThreadGen = 1;
   std::map<std::pair<uint32_t, uint64_t>, Pending> PendingBySeq;
-  /// Per strand: epochs begun, with begin version and executing domain.
-  std::map<uint32_t, std::vector<HistEntry>> History;
-  std::map<uint32_t, uint64_t> NextEpoch;
-  uint32_t NextStrand = 1;
+  /// Indexed by strand id, then by epoch - 1: when and where each epoch
+  /// began. A new strand's id is History.size().
+  std::vector<std::vector<HistEntry>> History;
   uint32_t NextDomain = 1; // survives reset(); 0 = legacy default
   uint64_t GlobalVersion = 0;
 
-  std::map<std::string, Stamp> Sections;
-  std::map<std::string, Stamp> Channels;
+  std::map<std::string, ClockPtr> Sections;
+  std::map<std::string, ClockPtr> Channels;
   std::map<std::string, LeaseState> Leases;
   std::map<std::string, GuardState> Guards;
   std::map<std::string, Shadow> Shadows;
@@ -343,13 +368,13 @@ private:
   Summary Sum;
 };
 
-/// RAII would-be critical section. The name must outlive the scope (use
-/// string literals or stable members).
+/// RAII would-be critical section. Disarmed it costs one relaxed load;
+/// armed it keeps its own copy of the name.
 class Section {
 public:
-  explicit Section(std::string Name) {
+  explicit Section(const std::string &Name) {
     if (Analyzer::enabled() && !Name.empty()) {
-      Nm = std::move(Name);
+      Nm = Name;
       Analyzer::instance().sectionEnter(Nm);
     }
   }
@@ -364,12 +389,12 @@ private:
   std::string Nm;
 };
 
-/// RAII non-reentrant scope.
+/// RAII non-reentrant scope; costs like Section.
 class GuardScope {
 public:
-  explicit GuardScope(std::string Name) {
+  explicit GuardScope(const std::string &Name) {
     if (Analyzer::enabled() && !Name.empty()) {
-      Nm = std::move(Name);
+      Nm = Name;
       Analyzer::instance().guardEnter(Nm);
     }
   }

@@ -17,11 +17,12 @@ LatencySummary fcl::serve::summarizeLatency(
   LatencySummary S;
   if (ValuesMs.empty())
     return S;
-  S.P50 = percentile(ValuesMs, 50);
-  S.P95 = percentile(ValuesMs, 95);
-  S.P99 = percentile(ValuesMs, 99);
+  std::vector<double> P = percentiles(ValuesMs, {50, 95, 99, 100});
+  S.P50 = P[0];
+  S.P95 = P[1];
+  S.P99 = P[2];
   S.Mean = mean(ValuesMs);
-  S.Max = percentile(ValuesMs, 100);
+  S.Max = P[3];
   return S;
 }
 

@@ -44,19 +44,20 @@ double fcl::stddev(const std::vector<double> &Values) {
   return std::sqrt(SqSum / static_cast<double>(Values.size() - 1));
 }
 
-double fcl::percentile(const std::vector<double> &Values, double Pct) {
-  if (Values.empty())
-    return 0;
-  FCL_CHECK(Pct >= 0 && Pct <= 100, "percentile out of range");
-  std::vector<double> Sorted = Values;
-  std::sort(Sorted.begin(), Sorted.end());
-  if (Pct == 0)
-    return Sorted.front();
-  // Nearest-rank: the smallest value with at least Pct% of the samples at
-  // or below it.
-  size_t Rank = static_cast<size_t>(
-      std::ceil(Pct / 100.0 * static_cast<double>(Sorted.size())));
-  return Sorted[Rank - 1];
+std::vector<double> fcl::percentiles(std::vector<double> Values,
+                                     std::initializer_list<double> Pcts) {
+  std::sort(Values.begin(), Values.end());
+  std::vector<double> Out;
+  Out.reserve(Pcts.size());
+  for (double Pct : Pcts) {
+    FCL_CHECK(Pct >= 0 && Pct <= 100, "percentile out of range");
+    // Nearest-rank: rank ceil(Pct% of N), counted from 1; rank 0 (Pct 0)
+    // reads the min.
+    size_t Rank = static_cast<size_t>(
+        std::ceil(Pct / 100.0 * static_cast<double>(Values.size())));
+    Out.push_back(Values.empty() ? 0 : Values[Rank == 0 ? 0 : Rank - 1]);
+  }
+  return Out;
 }
 
 void Accumulator::add(double Value) {

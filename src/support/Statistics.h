@@ -15,6 +15,7 @@
 #define FCL_SUPPORT_STATISTICS_H
 
 #include <cstddef>
+#include <initializer_list>
 #include <vector>
 
 namespace fcl {
@@ -29,10 +30,12 @@ double geomean(const std::vector<double> &Values);
 /// Sample standard deviation; 0 when fewer than two values.
 double stddev(const std::vector<double> &Values);
 
-/// Nearest-rank percentile of \p Values (copied and sorted internally);
-/// \p Pct in [0, 100]. 0 for an empty input. percentile(V, 0) is the min
-/// and percentile(V, 100) the max.
-double percentile(const std::vector<double> &Values, double Pct);
+/// Nearest-rank percentiles of \p Values, one per entry of \p Pcts (each
+/// in [0, 100]), read from one sorted copy: the smallest value with at
+/// least Pct% of the samples at or below it. Pct 0 gives the min and 100
+/// the max; every percentile of an empty input is 0.
+std::vector<double> percentiles(std::vector<double> Values,
+                                std::initializer_list<double> Pcts);
 
 /// Incremental accumulator for min/max/mean over a stream of samples.
 class Accumulator {

@@ -8,10 +8,11 @@
 /// vector-clock core, declared synchronization (sections, leases, guards)
 /// on both hazardous and clean shapes, the hybrid lockset rule that keeps
 /// inline-pumped nested events from tripping false positives, finding
-/// deduplication, the check::DiagSink bridge, the seeded fixture sweep,
-/// and the serve-engine stress gates: a high-concurrency mixed workload
-/// must analyze clean AND produce byte-identical reports with the
-/// analyzer on or off.
+/// deduplication, drain pruning of clock entries, the check::DiagSink
+/// bridge, the seeded fixture sweep, and the serve-engine gates: a
+/// high-concurrency mixed workload must analyze clean AND produce
+/// byte-identical reports with the analyzer on or off, and clocks must
+/// stay bounded as a run grows.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -223,6 +224,39 @@ TEST(RaceCoreTest, FindingsDeduplicateWithRepeatCount) {
   EXPECT_FALSE(A->hasFindings()); // takeFindings drained the set
 }
 
+// Drains retire clock entries exactly. Each round, a fresh strand writes
+// its object, continues in domain 2 and publishes; the host then drains
+// domain 2. A strand that stayed in domain 2 is covered by that drain, so
+// its entry is dropped and the published clock stays small. A strand that
+// began in domain 1 is not: its entry alone orders the domain-1 write, so
+// it must be kept, and the host's joined clock holds one per round.
+TEST(RaceCoreTest, DrainsDropOnlySingleDomainStrandEntries) {
+  constexpr uint64_t Rounds = 8;
+  for (bool Crossed : {false, true}) {
+    Armed A;
+    uint32_t D1 = A->allocDomain(), D2 = A->allocDomain();
+    for (uint64_t I = 1; I <= Rounds; ++I) {
+      A->onSchedule(2 * I, Crossed ? D1 : D2);
+      A->onEventBegin(2 * I, Crossed ? D1 : D2);
+      A->sharedWrite("obj#" + std::to_string(I), "produce");
+      A->onSchedule(2 * I + 1, D2); // continues the strand in domain 2
+      A->onEventEnd();
+      A->onEventBegin(2 * I + 1, D2);
+      A->hbPublish("chan");
+      A->onEventEnd();
+      A->onDrainExit(D2);
+    }
+    A->hbJoin("chan");
+    for (uint64_t I = 1; I <= Rounds; ++I)
+      A->sharedWrite("obj#" + std::to_string(I), "consume");
+    EXPECT_FALSE(A->hasFindings()) << "crossed=" << Crossed;
+    if (Crossed)
+      EXPECT_GE(A->summary().MaxClockEntries, Rounds);
+    else
+      EXPECT_LE(A->summary().MaxClockEntries, 2u);
+  }
+}
+
 TEST(RaceBridgeTest, FindingsBecomeDiagsWithRepeatCarried) {
   race::Finding F;
   F.Kind = race::FindingKind::UnorderedAccess;
@@ -305,6 +339,28 @@ TEST(RaceServeTest, HighConcurrencyStressAnalyzesClean) {
   EXPECT_TRUE(Rep.CheckEnabled);
   EXPECT_EQ(Rep.CheckErrors, 0u);
   EXPECT_EQ(Rep.CheckWarnings, 0u);
+}
+
+// Linear by test: clocks must not grow with run length. Without drain
+// pruning, the largest clock of this 16-stream corun shape holds ~600
+// entries at 0.125 s and ~2,200 at 0.5 s.
+TEST(RaceServeTest, ClocksStayBoundedAsRunsGrow) {
+  for (double Seconds : {0.125, 0.5}) {
+    serve::EngineConfig Cfg;
+    Cfg.P = serve::Policy::FluidicCorun;
+    Cfg.Streams = 16;
+    Cfg.Arrival.Kind = serve::ArrivalKind::Poisson;
+    Cfg.Arrival.RatePerSec = 150;
+    Cfg.QueueDepth = 256;
+    Cfg.Horizon = Duration::seconds(Seconds);
+    Cfg.Seed = 1;
+    Cfg.Races = check::Policy::Fail;
+    serve::ServeReport Rep = serve::Engine(Cfg).run();
+    EXPECT_GT(Rep.Completed, 0u);
+    EXPECT_EQ(Rep.RaceFindings, 0u);
+    EXPECT_LE(race::Analyzer::instance().summary().MaxClockEntries, 32u)
+        << "at " << Seconds << " s";
+  }
 }
 
 // Observation-only gate: same seed, analyzers on vs off, byte-identical

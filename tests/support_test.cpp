@@ -149,6 +149,18 @@ TEST(StatisticsTest, StddevBasics) {
   EXPECT_NEAR(stddev({2, 4, 4, 4, 5, 5, 7, 9}), 2.138, 1e-3);
 }
 
+TEST(StatisticsTest, PercentilesAreNearestRank) {
+  std::vector<double> P =
+      percentiles({7, 1, 9, 3, 5, 2, 10, 4, 8, 6}, {0, 50, 95, 99, 100});
+  ASSERT_EQ(P.size(), 5u);
+  EXPECT_DOUBLE_EQ(P[0], 1);  // the min
+  EXPECT_DOUBLE_EQ(P[1], 5);  // rank ceil(5.0) = 5
+  EXPECT_DOUBLE_EQ(P[2], 10); // rank ceil(9.5) = 10
+  EXPECT_DOUBLE_EQ(P[3], 10); // rank ceil(9.9) = 10
+  EXPECT_DOUBLE_EQ(P[4], 10); // the max
+  EXPECT_EQ(percentiles({}, {50}), std::vector<double>{0});
+}
+
 TEST(StatisticsTest, AccumulatorTracksMinMaxMean) {
   Accumulator A;
   EXPECT_EQ(A.count(), 0u);

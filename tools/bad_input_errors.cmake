@@ -87,6 +87,9 @@ foreach(SIZE 1 16 48 -5)
                --size=${SIZE})
 endforeach()
 expect_error(range SIM "--gpu-fraction must be in" --gpu-fraction=2)
+expect_error(range SIM "--cpu-load must be > 0" --cpu-load=0)
+expect_error(range SIM "--cpu-load must be > 0" --cpu-load=-1)
+expect_error(range SIM "--gpu-load must be > 0" --gpu-load=0)
 expect_error(range SIM "unknown --runtime 'bogus'" --runtime=bogus)
 expect_error(range SIM "unknown --workload 'bogus'" --workload=bogus)
 

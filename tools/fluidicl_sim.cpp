@@ -100,6 +100,12 @@ struct ToolConfig {
     if (!(GpuFraction >= 0 && GpuFraction <= 1))
       return formatString("--gpu-fraction must be in [0, 1] (got %g)",
                           GpuFraction);
+    if (!(M.CpuLoadFactor > 0))
+      return formatString("--cpu-load must be > 0 (got %g)",
+                          M.CpuLoadFactor);
+    if (!(M.GpuLoadFactor > 0))
+      return formatString("--gpu-load must be > 0 (got %g)",
+                          M.GpuLoadFactor);
     return FclOpts.validate();
   }
 };
