@@ -24,7 +24,6 @@ KernelExec::KernelExec(Runtime &RT, const kern::KernelInfo &Kernel,
                        const std::vector<runtime::KArg> &Args)
     : RT(RT), Kernel(Kernel), Range(Range), Args(Args),
       KernelId(++RT.NextKernelId), TotalGroups(Range.totalGroups()),
-      ItemsPerGroup(Range.itemsPerGroup()),
       GpuVisibleBoundary(std::make_shared<uint64_t>(Range.totalGroups())),
       CpuLow(Range.totalGroups()),
       Chunks(Range.totalGroups(), RT.Ctx.machine().Cpu.ComputeUnits,
@@ -129,7 +128,6 @@ void KernelExec::start(std::function<void()> Done) {
   if (CooperativeAllowed && TotalGroups > 0) {
     auto Self = shared_from_this();
     RT.whenCpuVersions(std::move(Gate), [Self] {
-      Self->CpuActive = true;
       // Routed through maybeContinueCpu so a chunk-yield hook (the serve
       // layer's backfill gate) also governs the first chunk.
       Self->maybeContinueCpu();

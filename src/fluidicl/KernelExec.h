@@ -61,7 +61,6 @@ private:
   void mergesDone();
 
   // --- CPU side (the "CPU scheduler thread") -------------------------------
-  void startCpuScheduler();
   void launchNextSubkernel();
   void subkernelDone(uint64_t Begin, uint64_t End,
                      const kern::KernelInfo *Used, TimePoint StartedAt);
@@ -87,18 +86,15 @@ private:
   std::vector<runtime::KArg> Args;
   uint64_t KernelId;
   uint64_t TotalGroups;
-  uint64_t ItemsPerGroup;
   TimePoint StartedAt;
 
   std::vector<OutBinding> Outs;
-  std::vector<uint32_t> CpuGateBufIds; // Buffers the CPU must have current.
   bool CooperativeAllowed = false;     // UseCpu and no atomics (section 7).
   bool UseRegionTransfers = false;     // Extension: band transfers.
 
   // Shared dynamic state between the two sides.
   std::shared_ptr<uint64_t> GpuVisibleBoundary;
   uint64_t CpuLow;       // Lowest flat ID assigned to the CPU so far.
-  bool CpuActive = false;
   bool CpuRanAll = false;
   bool GpuDone = false;
   bool MergePhaseStarted = false;

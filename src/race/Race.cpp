@@ -295,11 +295,6 @@ void Analyzer::onEventEnd() {
     S.Stack.pop_back();
 }
 
-void Analyzer::onCancel(uint64_t Seq, uint32_t Domain) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  PendingBySeq.erase(std::make_pair(Domain, Seq));
-}
-
 void Analyzer::onDrainExit(uint32_t Domain) {
   std::lock_guard<std::mutex> Lock(Mu);
   // Returning from a blocking run loop means every event this simulator

@@ -15,8 +15,8 @@
 /// threaded-cluster shape:
 ///
 ///  * Each simulator reports its causal structure (event schedule->execute
-///    fork edges, drain joins at run-loop exits, cancellations) tagged with
-///    its analysis *domain* (one per simulator instance), and the analyzer
+///    fork edges and drain joins at run-loop exits) tagged with its
+///    analysis *domain* (one per simulator instance), and the analyzer
 ///    maintains a vector clock per logical task (each thread's root program
 ///    plus every executed event).
 ///  * Instrumented code declares its synchronization intent: a Section is
@@ -158,8 +158,6 @@ public:
   void onEventBegin(uint64_t Seq, uint32_t Domain = 0);
   /// The innermost executing event on this thread finished (pops a task).
   void onEventEnd();
-  /// Event \p Seq in \p Domain was cancelled; forget its snapshot.
-  void onCancel(uint64_t Seq, uint32_t Domain = 0);
   /// A run loop of simulator \p Domain returned to its caller: the caller
   /// blocked until every event that simulator executed so far had
   /// finished, so it joins all of them (and only them - other domains may

@@ -25,8 +25,13 @@ std::string EngineConfig::validate() const {
   if (Horizon <= Duration::zero())
     return formatString("--duration must be > 0 s (got %g)",
                         Horizon.toSeconds());
+  if (Horizon > Duration::seconds(1e6))
+    return formatString("--duration must be <= 1e+06 s (got %g)",
+                        Horizon.toSeconds());
   if (QueueDepth < 1)
     return formatString("--queue-depth must be >= 1 (got %d)", QueueDepth);
+  if (SloMs < 0)
+    return formatString("--slo-ms must be >= 0 (got %g)", SloMs);
   // A negative --threshold wraps to a huge unsigned count that would make
   // every job small; no real job has 2^63 work-groups.
   if (LargeThreshold > static_cast<uint64_t>(INT64_MAX))
@@ -659,13 +664,6 @@ ServeReport Engine::finalize() {
   St.set("serve_throughput_rps", Rep.ThroughputRps);
   St.set("serve_gpu_util", Rep.GpuUtil);
   St.set("serve_cpu_util", Rep.CpuUtil);
-  // Event-queue health of the shared simulator (satellite of the profiler
-  // work: tombstone pressure is invisible in latency numbers until it
-  // degrades, so surface it in every serve report).
-  sim::Simulator &Sim = Ctx->simulator();
-  St.add("sim_events_executed", Sim.eventsExecuted());
-  St.add("sim_tombstone_skips", Sim.tombstoneSkips());
-  St.add("sim_compaction_runs", Sim.compactionRuns());
-  St.set("sim_pending_tombstones", static_cast<double>(Sim.pendingTombstones()));
+  St.add("sim_events_executed", Ctx->simulator().eventsExecuted());
   return Rep;
 }

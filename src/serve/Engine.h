@@ -164,9 +164,6 @@ public:
   bool quiescent() const;
   TimePoint now() const;
   const std::vector<JobTemplate> &templates() const { return Templates; }
-  /// The engine's would-be-lock section name (fcl::race): the master
-  /// enters it around barrier-time mutations of this engine's state.
-  const std::string &raceSectionName() const { return RaceSec; }
   /// Cluster-mode teardown: drains check diagnostics and builds this
   /// worker's report (race findings are collected once, by the cluster).
   ServeReport finishExternal();

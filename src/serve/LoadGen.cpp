@@ -41,21 +41,29 @@ bool fcl::serve::parseArrivalSpec(const std::string &Spec, ArrivalSpec &Out,
       return false;
     }
   }
-  if (Value <= 0) {
-    Err = "arrival spec '" + Spec + "' needs a positive value";
+  if (!(Value > 0) || !std::isfinite(Value)) {
+    Err = "arrival spec '" + Spec + "' needs a positive, finite value";
     return false;
   }
-  if (Kind == "poisson") {
-    Out.Kind = ArrivalKind::Poisson;
-    Out.RatePerSec = Value;
-    return true;
-  }
-  if (Kind == "uniform") {
-    Out.Kind = ArrivalKind::Uniform;
+  // A stream's mean interval between requests must lie in [1 us, 1e6 s]:
+  // shorter ones pre-draw arrivals without bound (the fastest rate in use is
+  // 2000/s), longer ones overflow simulated time.
+  if (Kind == "poisson" || Kind == "uniform") {
+    if (Value < 1e-6 || Value > 1e6) {
+      Err = "arrival spec '" + Spec +
+            "' needs a rate in [1e-06, 1e+06] per second";
+      return false;
+    }
+    Out.Kind = Kind == "poisson" ? ArrivalKind::Poisson : ArrivalKind::Uniform;
     Out.RatePerSec = Value;
     return true;
   }
   if (Kind == "closed") {
+    if (Value < 1e-3 || Value > 1e9) {
+      Err = "arrival spec '" + Spec +
+            "' needs a think time in [0.001, 1e+09] ms";
+      return false;
+    }
     Out.Kind = ArrivalKind::Closed;
     Out.Think = Duration::seconds(Value / 1e3);
     return true;

@@ -50,7 +50,9 @@ struct ArrivalSpec {
 };
 
 /// Parses "poisson:<rps>", "uniform:<rps>" or "closed:<think-ms>"; returns
-/// false (and fills \p Err) for malformed specs.
+/// false (and fills \p Err) for malformed specs and for values whose
+/// interval between requests (1/rps, or the think time) lies outside
+/// [1 us, 1e6 s].
 bool parseArrivalSpec(const std::string &Spec, ArrivalSpec &Out,
                       std::string &Err);
 

@@ -10,8 +10,8 @@
 #include "race/Race.h"
 #include "support/Error.h"
 
-#include <algorithm>
 #include <cassert>
+#include <limits>
 #include <optional>
 
 using namespace fcl;
@@ -22,19 +22,12 @@ using namespace fcl::sim;
 // bumps plain members; flushProfCounters() publishes the deltas at
 // run-loop exit, keeping atomic traffic out of the per-event dispatch.
 static prof::Counter ProfScheduled("sim.events_scheduled");
-static prof::Counter ProfCancelled("sim.events_cancelled");
 static prof::Counter ProfExecuted("sim.events_executed");
-static prof::Counter ProfTombstoneSkips("sim.tombstone_skips");
-static prof::Counter ProfCompactions("sim.compaction_runs");
 
 void Simulator::flushProfCounters() {
   ProfScheduled.add((NextSeq - 1) - LastProfFlush.Scheduled);
-  ProfCancelled.add(Cancelled - LastProfFlush.Cancelled);
   ProfExecuted.add(Executed - LastProfFlush.Executed);
-  ProfTombstoneSkips.add(TombstoneSkips - LastProfFlush.TombstoneSkips);
-  ProfCompactions.add(CompactionRuns - LastProfFlush.CompactionRuns);
-  LastProfFlush = {NextSeq - 1, Cancelled, Executed, TombstoneSkips,
-                   CompactionRuns};
+  LastProfFlush = {NextSeq - 1, Executed};
 }
 
 uint32_t Simulator::raceDomain() {
@@ -43,80 +36,50 @@ uint32_t Simulator::raceDomain() {
   return RaceDomain;
 }
 
-EventId Simulator::scheduleAt(TimePoint At, Callback Fn) {
+void Simulator::scheduleAt(TimePoint At, Callback Fn) {
   FCL_CHECK(At >= Now, "cannot schedule an event in the past");
   FCL_CHECK(Fn != nullptr, "cannot schedule a null callback");
+  uint32_t Slot;
+  if (FreeSlots.empty()) {
+    Slot = static_cast<uint32_t>(Slots.size());
+    Slots.push_back(std::move(Fn));
+  } else {
+    Slot = FreeSlots.back();
+    FreeSlots.pop_back();
+    Slots[Slot] = std::move(Fn);
+  }
   uint64_t Seq = NextSeq++;
-  Queue.push(Entry{At, Seq});
-  CallbackBySeq.push_back(SeqCallback{Seq, std::move(Fn)});
-  ++Live;
+  Queue.push(Entry{At, Seq, Slot});
   if (race::Analyzer::enabled())
     race::Analyzer::instance().onSchedule(Seq, raceDomain());
-  return EventId(Seq);
 }
 
-EventId Simulator::scheduleAfter(Duration Delay, Callback Fn) {
+void Simulator::scheduleAfter(Duration Delay, Callback Fn) {
   FCL_CHECK(Delay >= Duration::zero(), "negative delay");
-  return scheduleAt(Now + Delay, std::move(Fn));
-}
-
-Simulator::Callback Simulator::takeCallback(uint64_t Seq) {
-  // CallbackBySeq is sorted by Seq (sequences are handed out in increasing
-  // order), so a binary search finds the slot; the callback is moved out and
-  // the slot tombstoned (empty Fn) to keep the search structure intact.
-  auto It = std::lower_bound(
-      CallbackBySeq.begin(), CallbackBySeq.end(), Seq,
-      [](const SeqCallback &E, uint64_t S) { return E.Seq < S; });
-  if (It == CallbackBySeq.end() || It->Seq != Seq || !It->Fn)
-    return nullptr;
-  Callback Fn = std::move(It->Fn);
-  It->Fn = nullptr;
-  --Live;
-  // Compact tombstones so memory does not grow unboundedly in long
-  // simulations (erase keeps the vector sorted by Seq).
-  if (Live == 0) {
-    CallbackBySeq.clear();
-  } else if (CallbackBySeq.size() > 1024 && Live * 2 < CallbackBySeq.size()) {
-    ++CompactionRuns;
-    std::erase_if(CallbackBySeq,
-                  [](const SeqCallback &E) { return E.Fn == nullptr; });
-  }
-  return Fn;
-}
-
-bool Simulator::cancel(EventId Id) {
-  if (!Id.valid())
-    return false;
-  ++Cancelled;
-  Callback Fn = takeCallback(Id.Seq);
-  if (Fn && race::Analyzer::enabled())
-    race::Analyzer::instance().onCancel(Id.Seq, raceDomain());
-  return Fn != nullptr;
+  scheduleAt(Now + Delay, std::move(Fn));
 }
 
 bool Simulator::step() {
-  while (!Queue.empty()) {
-    Entry Top = Queue.top();
-    Queue.pop();
-    Callback Fn = takeCallback(Top.Seq);
-    if (!Fn) {
-      ++TombstoneSkips;
-      continue; // Cancelled.
-    }
-    assert(Top.At >= Now && "event queue went backwards");
-    Now = Top.At;
-    ++Executed;
-    if (race::Analyzer::enabled()) {
-      race::Analyzer &RA = race::Analyzer::instance();
-      RA.onEventBegin(Top.Seq, raceDomain());
-      Fn();
-      RA.onEventEnd();
-    } else {
-      Fn();
-    }
-    return true;
+  if (Queue.empty())
+    return false;
+  Entry Top = Queue.top();
+  Queue.pop();
+  // Take the callback and free its slot before calling it: the callback may
+  // schedule events, which can reuse the slot or grow Slots.
+  Callback Fn = std::move(Slots[Top.Slot]);
+  FreeSlots.push_back(Top.Slot);
+  assert(Top.At >= Now && "event queue went backwards");
+  Now = Top.At;
+  ++Executed;
+  if (race::Analyzer::enabled()) {
+    race::Analyzer &RA = race::Analyzer::instance();
+    RA.onEventBegin(Top.Seq, raceDomain());
+    Fn();
+    RA.onEventEnd();
+  } else {
+    Fn();
   }
-  return false;
+  return true;
 }
 
 // The run loops open a "sim.run" profiler phase only when there is event
@@ -125,6 +88,27 @@ bool Simulator::step() {
 // outermost entry: event callbacks routinely pump the loop again, and
 // scoping every re-entry would charge two timestamp reads per nesting
 // level for no extra information. Counter deltas flush on outermost exit.
+bool Simulator::pump(TimePoint Deadline, const std::function<bool()> *Stop) {
+  if (Queue.empty() || Queue.top().At > Deadline)
+    return false;
+  bool Outer = !InRunLoop;
+  InRunLoop = true;
+  bool Stopped = false;
+  {
+    std::optional<prof::ScopedPhase> Phase;
+    if (Outer)
+      Phase.emplace("sim.run");
+    while (!Stopped && !Queue.empty() && Queue.top().At <= Deadline) {
+      step();
+      Stopped = Stop && (*Stop)();
+    }
+  }
+  if (Outer) {
+    InRunLoop = false;
+    flushProfCounters();
+  }
+  return Stopped;
+}
 
 // Returning from any run loop is a drain: the caller blocked until every
 // event THIS simulator executed so far had finished, which orders it
@@ -136,46 +120,16 @@ void Simulator::raceDrainExit() {
     race::Analyzer::instance().onDrainExit(raceDomain());
 }
 
+static constexpr TimePoint EndOfTime(std::numeric_limits<int64_t>::max());
+
 void Simulator::run() {
-  if (Queue.empty()) {
-    raceDrainExit();
-    return;
-  }
-  bool Outer = !InRunLoop;
-  InRunLoop = true;
-  {
-    std::optional<prof::ScopedPhase> Phase;
-    if (Outer)
-      Phase.emplace("sim.run");
-    while (step()) {
-    }
-  }
-  if (Outer) {
-    InRunLoop = false;
-    flushProfCounters();
-  }
+  pump(EndOfTime, nullptr);
   raceDrainExit();
 }
 
 void Simulator::runUntil(TimePoint Deadline) {
   FCL_CHECK(Deadline >= Now, "deadline in the past");
-  if (!Queue.empty() && Queue.top().At <= Deadline) {
-    bool Outer = !InRunLoop;
-    InRunLoop = true;
-    {
-      std::optional<prof::ScopedPhase> Phase;
-      if (Outer)
-        Phase.emplace("sim.run");
-      while (!Queue.empty() && Queue.top().At <= Deadline) {
-        if (!step())
-          break;
-      }
-    }
-    if (Outer) {
-      InRunLoop = false;
-      flushProfCounters();
-    }
-  }
+  pump(Deadline, nullptr);
   Now = Deadline;
   raceDrainExit();
 }
@@ -185,24 +139,7 @@ bool Simulator::runWhileNot(const std::function<bool()> &Pred) {
     return true;
   if (Queue.empty())
     return false;
-  bool Outer = !InRunLoop;
-  InRunLoop = true;
-  bool Satisfied = false;
-  {
-    std::optional<prof::ScopedPhase> Phase;
-    if (Outer)
-      Phase.emplace("sim.run");
-    while (step()) {
-      if (Pred()) {
-        Satisfied = true;
-        break;
-      }
-    }
-  }
-  if (Outer) {
-    InRunLoop = false;
-    flushProfCounters();
-  }
+  bool Satisfied = pump(EndOfTime, &Pred);
   raceDrainExit();
   return Satisfied;
 }

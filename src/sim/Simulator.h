@@ -13,7 +13,8 @@
 ///
 /// Events with equal timestamps fire in schedule order (a monotonically
 /// increasing sequence number breaks ties), so there is no ordering
-/// nondeterminism.
+/// nondeterminism. A scheduled event always fires; a callback whose effect
+/// may be stale by then checks for that itself, as FluidiCL's guards do.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,20 +31,6 @@
 namespace fcl {
 namespace sim {
 
-/// Opaque handle identifying a scheduled event, usable for cancellation.
-class EventId {
-public:
-  EventId() = default;
-
-  bool valid() const { return Seq != 0; }
-  auto operator<=>(const EventId &) const = default;
-
-private:
-  friend class Simulator;
-  explicit EventId(uint64_t Seq) : Seq(Seq) {}
-  uint64_t Seq = 0;
-};
-
 /// A single-threaded discrete-event simulator with a virtual clock.
 class Simulator {
 public:
@@ -57,14 +44,10 @@ public:
   TimePoint now() const { return Now; }
 
   /// Schedules \p Fn to run at absolute time \p At (>= now()).
-  EventId scheduleAt(TimePoint At, Callback Fn);
+  void scheduleAt(TimePoint At, Callback Fn);
 
   /// Schedules \p Fn to run \p Delay after now().
-  EventId scheduleAfter(Duration Delay, Callback Fn);
-
-  /// Cancels a pending event. Returns true if the event was still pending.
-  /// Cancelling an already-fired or already-cancelled event is a no-op.
-  bool cancel(EventId Id);
+  void scheduleAfter(Duration Delay, Callback Fn);
 
   /// Runs until the event queue is empty.
   void run();
@@ -83,26 +66,14 @@ public:
   /// Number of events executed since construction.
   uint64_t eventsExecuted() const { return Executed; }
 
-  /// Number of events currently pending (including cancelled tombstones).
-  bool hasPending() const { return Live != 0; }
-
-  // --- Event-queue health (exported as fcl::stats gauges/counters so
-  // --- queue degradation is visible in run reports) ----------------------
-
-  /// Callback slots currently tombstoned (cancelled or already fired) but
-  /// not yet compacted out of the lookup vector.
-  uint64_t pendingTombstones() const { return CallbackBySeq.size() - Live; }
-
-  /// Queue pops that hit a cancelled entry and were skipped.
-  uint64_t tombstoneSkips() const { return TombstoneSkips; }
-
-  /// Times the callback vector was compacted to shed tombstones.
-  uint64_t compactionRuns() const { return CompactionRuns; }
+  /// True while any scheduled event has yet to fire.
+  bool hasPending() const { return !Queue.empty(); }
 
 private:
   struct Entry {
     TimePoint At;
     uint64_t Seq;
+    uint32_t Slot;
     bool operator>(const Entry &RHS) const {
       if (At != RHS.At)
         return At > RHS.At;
@@ -110,15 +81,10 @@ private:
     }
   };
 
-  // Cancellation uses tombstones: the callback is looked up by sequence
-  // number in CallbackBySeq; cancel() erases the mapping, and popped entries
-  // whose callback is gone are skipped.
-  struct SeqCallback {
-    uint64_t Seq;
-    Callback Fn;
-  };
-
-  Callback takeCallback(uint64_t Seq);
+  /// The loop behind run(), runUntil() and runWhileNot(): fires events due
+  /// at or before \p Deadline until \p Stop (if non-null) returns true after
+  /// one of them, or none is left. Returns true if \p Stop held.
+  bool pump(TimePoint Deadline, const std::function<bool()> *Stop);
 
   /// This simulator's race-analyzer domain, allocated lazily on the first
   /// hook so unanalyzed runs never touch the analyzer. Event sequence
@@ -138,10 +104,6 @@ private:
   TimePoint Now;
   uint64_t NextSeq = 1;
   uint64_t Executed = 0;
-  uint64_t Live = 0;
-  uint64_t Cancelled = 0;
-  uint64_t TombstoneSkips = 0;
-  uint64_t CompactionRuns = 0;
   /// True while a run loop is active, so re-entrant pumping from event
   /// callbacks skips the "sim.run" profiler phase and the counter flush.
   bool InRunLoop = false;
@@ -151,14 +113,14 @@ private:
   /// Member-counter values as of the last flushProfCounters() call.
   struct ProfFlushMark {
     uint64_t Scheduled = 0;
-    uint64_t Cancelled = 0;
     uint64_t Executed = 0;
-    uint64_t TombstoneSkips = 0;
-    uint64_t CompactionRuns = 0;
   } LastProfFlush;
 
+  /// Heap entries stay small and cheap to sift; each callback sits in a
+  /// slot that is reused, through FreeSlots, once its event has fired.
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> Queue;
-  std::vector<SeqCallback> CallbackBySeq; // Sorted by insertion (ascending).
+  std::vector<Callback> Slots;
+  std::vector<uint32_t> FreeSlots;
 };
 
 } // namespace sim

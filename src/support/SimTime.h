@@ -36,11 +36,15 @@ public:
     return Duration(M * 1000 * 1000);
   }
   /// Converts (possibly fractional) seconds to a duration, rounding to the
-  /// nearest nanosecond and clamping negatives to zero.
+  /// nearest nanosecond, clamping negatives and NaN to zero and saturating
+  /// at the largest duration instead of overflowing.
   static Duration seconds(double S) {
-    if (S <= 0)
+    if (!(S > 0))
       return zero();
-    return Duration(static_cast<int64_t>(S * 1e9 + 0.5));
+    double N = S * 1e9 + 0.5;
+    if (N >= 0x1p63)
+      return Duration(INT64_MAX);
+    return Duration(static_cast<int64_t>(N));
   }
 
   constexpr int64_t nanos() const { return Nanos; }

@@ -186,14 +186,8 @@ fcl::work::collectRunReport(const runtime::HeteroRuntime &RT,
   Rep.WorkloadName = W.Name;
   Rep.Wall = Wall;
   RT.collectStats(Rep);
-  // Event-queue health of the runtime's simulator (see ISSUE: exported so
-  // run reports show tombstone pressure and compaction churn).
-  sim::Simulator &Sim = RT.context().simulator();
-  Rep.Counters.add("sim_events_executed", Sim.eventsExecuted());
-  Rep.Counters.add("sim_tombstone_skips", Sim.tombstoneSkips());
-  Rep.Counters.add("sim_compaction_runs", Sim.compactionRuns());
-  Rep.Counters.set("sim_pending_tombstones",
-                static_cast<double>(Sim.pendingTombstones()));
+  Rep.Counters.add("sim_events_executed",
+                   RT.context().simulator().eventsExecuted());
   if (T)
     Rep.addUtilizationFromTracer(*T, Wall);
   return Rep;

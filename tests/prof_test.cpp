@@ -248,7 +248,7 @@ TEST_F(ProfTest, RunReportByteIdenticalWithProfilingOn) {
   EXPECT_EQ(Off, On);
 }
 
-// Satellite 1: the sim event-queue health counters surface in reports.
+// The simulator's executed-event count surfaces in run and serve reports.
 TEST_F(ProfTest, RunReportCarriesSimQueueHealthStats) {
   work::Workload W = work::makeSyrk(128, 128);
   stats::RunReport Rep =
@@ -256,15 +256,12 @@ TEST_F(ProfTest, RunReportCarriesSimQueueHealthStats) {
   EXPECT_GT(Rep.Counters.counter("sim_events_executed"), 0u);
   std::string Json = Rep.renderJson();
   EXPECT_NE(Json.find("sim_events_executed"), std::string::npos);
-  EXPECT_NE(Json.find("sim_pending_tombstones"), std::string::npos);
 }
 
 TEST_F(ProfTest, ServeReportCarriesSimQueueHealthStats) {
   serve::ServeReport Rep = runServeOnce();
   std::string Json = Rep.toJson();
   EXPECT_NE(Json.find("sim_events_executed"), std::string::npos);
-  EXPECT_NE(Json.find("sim_tombstone_skips"), std::string::npos);
-  EXPECT_NE(Json.find("sim_compaction_runs"), std::string::npos);
 }
 
 } // namespace

@@ -58,6 +58,17 @@ TEST(LoadGenTest, ParseArrivalSpecs) {
   EXPECT_FALSE(parseArrivalSpec("poisson", A, Err));
   EXPECT_FALSE(parseArrivalSpec("poisson:-3", A, Err));
   EXPECT_FALSE(parseArrivalSpec("burst:9", A, Err));
+  // Values must be finite, and the interval between a stream's requests
+  // (1/rate, or the think time) must lie in [1 us, 1e6 s].
+  for (const char *Bad : {"poisson:nan", "poisson:inf", "uniform:inf",
+                          "closed:nan", "closed:inf", "poisson:2e6",
+                          "uniform:1e9", "closed:1e-4", "poisson:1e-7",
+                          "closed:2e9"})
+    EXPECT_FALSE(parseArrivalSpec(Bad, A, Err)) << Bad;
+  EXPECT_NE(Err.find("think time in"), std::string::npos) << Err;
+  for (const char *Edge : {"poisson:1e6", "uniform:1e-6", "closed:0.001",
+                           "closed:1e9"})
+    EXPECT_TRUE(parseArrivalSpec(Edge, A, Err)) << Edge;
 }
 
 TEST(LoadGenTest, TemplatesSpanBothClasses) {

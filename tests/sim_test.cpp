@@ -6,8 +6,13 @@
 
 #include "sim/Simulator.h"
 
+#include "support/Rng.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <utility>
 #include <vector>
 
 using namespace fcl;
@@ -69,35 +74,6 @@ TEST(SimulatorTest, ZeroDelayEventFiresAtSameTime) {
   Sim.run();
   EXPECT_TRUE(Ran);
   EXPECT_EQ(Sim.now().nanos(), 0);
-}
-
-TEST(SimulatorTest, CancelPreventsExecution) {
-  Simulator Sim;
-  bool Ran = false;
-  EventId Id = Sim.scheduleAfter(Duration::nanoseconds(10), [&] { Ran = true; });
-  EXPECT_TRUE(Sim.cancel(Id));
-  Sim.run();
-  EXPECT_FALSE(Ran);
-}
-
-TEST(SimulatorTest, CancelReturnsFalseWhenAlreadyFired) {
-  Simulator Sim;
-  EventId Id = Sim.scheduleAfter(Duration::nanoseconds(1), [] {});
-  Sim.run();
-  EXPECT_FALSE(Sim.cancel(Id));
-}
-
-TEST(SimulatorTest, CancelTwiceIsNoOp) {
-  Simulator Sim;
-  EventId Id = Sim.scheduleAfter(Duration::nanoseconds(1), [] {});
-  EXPECT_TRUE(Sim.cancel(Id));
-  EXPECT_FALSE(Sim.cancel(Id));
-  Sim.run();
-}
-
-TEST(SimulatorTest, DefaultEventIdIsInvalid) {
-  Simulator Sim;
-  EXPECT_FALSE(Sim.cancel(EventId()));
 }
 
 TEST(SimulatorTest, StepExecutesOneEvent) {
@@ -164,63 +140,47 @@ TEST(SimulatorTest, EventsExecutedCounts) {
   EXPECT_EQ(Sim.eventsExecuted(), 5u);
 }
 
-TEST(SimulatorTest, ManyCancellationsCompactWithoutLoss) {
+// A few thousand events on a coarse time grid (so most timestamps tie),
+// some of whose callbacks schedule more events at zero delay or later, run
+// through interleaved runUntil, runWhileNot and run calls. Every event's
+// key (time, schedule order) exceeds the key of the event that is firing
+// when it is scheduled, so the queue must fire all of them in sorted key
+// order. Slots are reused as soon as one callback schedules another.
+TEST(SimulatorTest, ManyTiedEventsFireInTimeThenScheduleOrder) {
   Simulator Sim;
-  int Ran = 0;
-  std::vector<EventId> Ids;
-  // Interleave survivors and cancels at a scale that triggers compaction.
-  for (int I = 0; I < 5000; ++I) {
-    if (I % 2 == 0) {
-      Ids.push_back(
-          Sim.scheduleAfter(Duration::nanoseconds(I), [&] { ++Ran; }));
-    } else {
-      EventId Doomed =
-          Sim.scheduleAfter(Duration::nanoseconds(I), [&] { ++Ran; });
-      EXPECT_TRUE(Sim.cancel(Doomed));
+  Rng R(20260);
+  std::vector<std::pair<int64_t, int>> Keys; // (time, schedule order)
+  std::vector<int> Fired;
+  std::function<void(int64_t)> Schedule = [&](int64_t Delay) {
+    int Id = static_cast<int>(Keys.size());
+    Keys.emplace_back(Sim.now().nanos() + Delay, Id);
+    Sim.scheduleAfter(Duration::nanoseconds(Delay), [&, Id] {
+      Fired.push_back(Id);
+      if (Keys.size() < 5000 && R.nextBelow(3) == 0)
+        Schedule(R.nextBelow(2) == 0
+                     ? 0
+                     : 10 * static_cast<int64_t>(1 + R.nextBelow(5)));
+    });
+  };
+  for (int Batch = 0; Batch < 3; ++Batch) {
+    for (int I = 0; I < 700; ++I)
+      Schedule(10 * static_cast<int64_t>(R.nextBelow(50)));
+    for (int Round = 0; Round < 8; ++Round) {
+      Sim.runUntil(Sim.now() + Duration::nanoseconds(25));
+      size_t Target = Fired.size() + R.nextBelow(200);
+      Sim.runWhileNot([&] { return Fired.size() >= Target; });
     }
+    Sim.run();
   }
-  // Cancel half of the survivors too.
-  for (size_t I = 0; I < Ids.size(); I += 2)
-    EXPECT_TRUE(Sim.cancel(Ids[I]));
-  Sim.run();
-  EXPECT_EQ(Ran, 1250);
-}
-
-TEST(SimulatorTest, TombstoneHealthCountersTrackCancellations) {
-  Simulator Sim;
-  EXPECT_EQ(Sim.pendingTombstones(), 0u);
-  EXPECT_EQ(Sim.tombstoneSkips(), 0u);
-  std::vector<EventId> Doomed;
-  for (int I = 0; I < 8; ++I) {
-    EventId Id = Sim.scheduleAfter(Duration::nanoseconds(I), [] {});
-    if (I % 2 == 1)
-      Doomed.push_back(Id);
-  }
-  for (EventId Id : Doomed)
-    EXPECT_TRUE(Sim.cancel(Id));
-  // Cancelled slots linger as tombstones until their queue entries pop.
-  EXPECT_EQ(Sim.pendingTombstones(), Doomed.size());
-  Sim.run();
-  // Every cancelled entry was popped and skipped; the vector was cleared
-  // once the last live callback fired.
-  EXPECT_EQ(Sim.tombstoneSkips(), Doomed.size());
-  EXPECT_EQ(Sim.pendingTombstones(), 0u);
-  EXPECT_EQ(Sim.eventsExecuted(), 4u);
-}
-
-TEST(SimulatorTest, CompactionRunsCountedUnderHeavyCancellation) {
-  Simulator Sim;
-  // Enough tombstones to cross the size > 1024 && Live * 2 < size
-  // compaction threshold while cancelling.
-  std::vector<EventId> Ids;
-  for (int I = 0; I < 4000; ++I)
-    Ids.push_back(Sim.scheduleAfter(Duration::nanoseconds(I), [] {}));
-  for (size_t I = 0; I < Ids.size(); I += 4)
-    for (size_t J = 0; J < 3 && I + J < Ids.size(); ++J)
-      EXPECT_TRUE(Sim.cancel(Ids[I + J]));
-  EXPECT_GE(Sim.compactionRuns(), 1u);
-  Sim.run();
-  EXPECT_EQ(Sim.eventsExecuted(), 1000u);
+  ASSERT_GT(Keys.size(), 2500u);
+  std::vector<std::pair<int64_t, int>> Sorted = Keys;
+  std::sort(Sorted.begin(), Sorted.end());
+  std::vector<int> Expected;
+  for (const auto &[At, Id] : Sorted)
+    Expected.push_back(Id);
+  EXPECT_EQ(Fired, Expected);
+  EXPECT_EQ(Sim.eventsExecuted(), Keys.size());
+  EXPECT_FALSE(Sim.hasPending());
 }
 
 TEST(SimulatorDeathTest, SchedulingInThePastAborts) {

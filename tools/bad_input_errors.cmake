@@ -65,6 +65,12 @@ expect_error(range "${TIERS}" "--streams must be >= 1" --streams=0)
 expect_error(range "${TIERS}" "--duration must be > 0" --duration=0)
 expect_error(range "${TIERS}" "--queue-depth must be >= 1" --queue-depth=0)
 expect_error(range "${TIERS}" "--threshold must be >= 0" --threshold=-1)
+expect_error(range "${TIERS}" "--duration must be <= 1e" --duration=1e10)
+expect_error(range "${TIERS}" "--slo-ms must be >= 0" --slo-ms=-1)
+# Too-slow rates only: a too-fast one that slipped through would pre-draw
+# arrivals without bound, so serve_test covers those (and nan, inf).
+expect_error(range "${TIERS}" "needs a rate in" --arrival=poisson:1e-12)
+expect_error(range "${TIERS}" "needs a rate in" --arrival=uniform:1e-12)
 expect_error(range CLUSTER "--workers must be in" --workers=0)
 expect_error(range CLUSTER "--quantum-ms must be > 0" --quantum-ms=0)
 expect_error(range CLUSTER "--link-us must be >= 0" --link-us=-5)
