@@ -18,36 +18,6 @@ using namespace fcl::check;
 
 namespace {
 
-/// Executes one call on the host buffers (the state-advance step between
-/// probes), mirroring work::computeReference's inner loop.
-void executeCallOnHost(const kern::KernelInfo &Kernel,
-                       const work::KernelCall &Call,
-                       std::vector<std::vector<std::byte>> &HostBufs) {
-  std::vector<kern::ArgValue> Values;
-  for (const runtime::KArg &A : Call.Args) {
-    if (A.IsBuffer) {
-      std::vector<std::byte> &B = HostBufs[A.Buf];
-      Values.push_back(kern::ArgValue::buffer(B.data(), B.size()));
-    } else {
-      kern::ArgValue V;
-      V.IntValue = A.IntValue;
-      V.FpValue = A.FpValue;
-      Values.push_back(V);
-    }
-  }
-  kern::ArgsView Args(std::move(Values));
-  std::vector<std::byte> Scratch(Kernel.LocalBytes);
-  kern::Dim3 Groups = Call.Range.numGroups();
-  uint64_t Items = Call.Range.itemsPerGroup();
-  for (uint64_t Flat = 0; Flat < Call.Range.totalGroups(); ++Flat) {
-    if (!Scratch.empty())
-      std::fill(Scratch.begin(), Scratch.end(), std::byte{0});
-    kern::executeWorkGroup(Kernel, Call.Range,
-                           kern::unflattenGroupId(Flat, Groups), Args, 0,
-                           Items, Scratch.empty() ? nullptr : Scratch.data());
-  }
-}
-
 /// Coverage workloads for the built-in kernels no Polybench application
 /// launches: the vector demo kernels, the atomic histogram, the Jacobi
 /// stencil and the runtime's own merge kernel.
@@ -149,7 +119,7 @@ uint64_t fcl::check::checkWorkload(const work::Workload &W, DiagSink &Sink,
     if (OnCall)
       OnCall(Call, Rep);
     // Advance state so the next call probes against realistic inputs.
-    executeCallOnHost(Kernel, Call, Host);
+    work::executeCall(Kernel, Call, Host);
   }
   return Probed;
 }

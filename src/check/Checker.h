@@ -56,9 +56,9 @@ using CallObserver =
     std::function<void(const work::KernelCall &, const OracleReport &)>;
 
 /// Probes every kernel call of \p W with the AccessOracle, resolving
-/// kernels in \p R and advancing host buffer state between calls exactly
-/// like work::computeReference. Returns the number of calls probed (not
-/// skipped). Diagnostics go to \p Sink.
+/// kernels in \p R and advancing host buffer state between calls with
+/// work::executeCall, as work::computeReference does. Returns the number
+/// of calls probed (not skipped). Diagnostics go to \p Sink.
 uint64_t checkWorkload(const work::Workload &W, DiagSink &Sink,
                        const kern::Registry &R,
                        uint64_t BudgetBytes = OracleDefaultBudget,

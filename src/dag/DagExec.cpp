@@ -24,7 +24,7 @@ using namespace fcl::dag;
 DagJobExec::DagJobExec(mcl::Context &Ctx, const work::Workload &W,
                        const Graph &G, Placement Place, bool Validate,
                        DagStats *Stats, trace::Tracer *Trace)
-    : Ctx(Ctx), W(W), G(G), Place(Place), Validate(Validate), Stats(Stats),
+    : JobExec(Ctx, W, Validate), G(G), Place(Place), Stats(Stats),
       Trace(Trace), Res(W.Buffers.size()) {
   FCL_CHECK(G.size() == W.Calls.size(), "graph does not describe workload");
   static std::atomic<uint64_t> NextRaceId{0};
@@ -39,7 +39,7 @@ void DagJobExec::start(DoneFn Done) {
   bool Functional = Ctx.functional();
   if (Functional) {
     Stage = work::initHostData(W);
-    Init = Stage;
+    Host = Stage;
   }
   Qs[GpuIdx] = Ctx.createQueue(Ctx.gpu(), "dag-gpu");
   Qs[CpuIdx] = Ctx.createQueue(Ctx.cpu(), "dag-cpu");
@@ -261,15 +261,6 @@ void DagJobExec::finishDag() {
         finishJob();
     });
   }
-}
-
-void DagJobExec::finishJob() {
-  if (Validate && Ctx.functional())
-    ValidationFailed = !serve::validateResults(W, Init, Results);
-  FCL_CHECK(OnDone, "job finished twice");
-  DoneFn Fn = std::move(OnDone);
-  OnDone = nullptr;
-  Fn();
 }
 
 // --- Placement scoring ------------------------------------------------------

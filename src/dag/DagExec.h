@@ -66,7 +66,6 @@ private:
   void onKernelComplete(size_t N);
   void nodeRetired(size_t N);
   void finishDag();
-  void finishJob();
 
   /// Whether transfers touching device \p D cross the PCIe link.
   bool pciePriced(size_t D) const;
@@ -83,24 +82,18 @@ private:
   double xferNs(size_t D, uint64_t Bytes) const;
   size_t pickDevice(size_t N) const;
 
-  mcl::Context &Ctx;
-  const work::Workload &W;
   const Graph &G;
   Placement Place;
-  bool Validate;
   DagStats *Stats;
   trace::Tracer *Trace;
 
   std::array<std::unique_ptr<mcl::CommandQueue>, 2> Qs;
   /// One lazily-created device buffer per workload buffer per device.
   std::vector<std::array<std::unique_ptr<mcl::Buffer>, 2>> Bufs;
-  /// Pristine initial host data, kept aside for validation (the host
-  /// reference executes in place and must start from the same inputs).
-  std::vector<std::vector<std::byte>> Init; // Functional mode only.
   /// Host-side transfer medium: uploads source from it, fetches and final
-  /// reads land in it.
+  /// reads land in it. JobExec::Host keeps the pristine initial data aside
+  /// for validation, since the host reference runs in place.
   std::vector<std::vector<std::byte>> Stage; // Functional mode only.
-  std::vector<std::vector<std::byte>> Results;
 
   ResidencyTracker Res;
   std::vector<size_t> Indegree;
@@ -116,7 +109,6 @@ private:
   double BacklogNs[2] = {0, 0};
   size_t DoneN = 0;
   size_t TailsLeft = 0;
-  DoneFn OnDone;
   /// fcl::race critical-section name: callbacks from both device queues
   /// mutate this executor's state.
   std::string RaceSec;

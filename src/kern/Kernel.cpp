@@ -6,6 +6,7 @@
 
 #include "kern/Kernel.h"
 
+#include <algorithm>
 #include <vector>
 
 using namespace fcl;
@@ -42,6 +43,19 @@ void executeWorkGroup(const KernelInfo &Kernel, const NDRange &Range,
       Ctx.GlobalId.Z = GroupId.Z * Local.Z + Ctx.LocalId.Z;
       Kernel.Fn(Ctx, Args);
     }
+  }
+}
+
+void executeGroups(const KernelInfo &Kernel, const NDRange &Range,
+                   const ArgsView &Args, uint64_t Begin, uint64_t End) {
+  std::vector<std::byte> Scratch(Kernel.LocalBytes);
+  Dim3 Groups = Range.numGroups();
+  uint64_t Items = Range.itemsPerGroup();
+  for (uint64_t Flat = Begin; Flat < End; ++Flat) {
+    if (!Scratch.empty())
+      std::fill(Scratch.begin(), Scratch.end(), std::byte{0});
+    executeWorkGroup(Kernel, Range, unflattenGroupId(Flat, Groups), Args, 0,
+                     Items, Scratch.empty() ? nullptr : Scratch.data());
   }
 }
 

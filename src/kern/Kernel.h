@@ -176,6 +176,13 @@ void executeWorkGroup(const KernelInfo &Kernel, const NDRange &Range,
                       uint64_t LocalBegin, uint64_t LocalEnd,
                       std::byte *LocalScratch);
 
+/// Functionally executes whole work-groups [Begin, End) (flattened group
+/// IDs) of \p Kernel over \p Range in ascending order, each starting with
+/// zeroed local memory: how every device and the host reference run a
+/// kernel.
+void executeGroups(const KernelInfo &Kernel, const NDRange &Range,
+                   const ArgsView &Args, uint64_t Begin, uint64_t End);
+
 } // namespace kern
 } // namespace fcl
 

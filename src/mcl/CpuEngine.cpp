@@ -11,7 +11,6 @@
 #include "support/Error.h"
 
 #include <algorithm>
-#include <vector>
 
 using namespace fcl;
 using namespace fcl::mcl;
@@ -92,21 +91,9 @@ void CpuEngine::executeLaunch(const LaunchDesc &Desc,
                                     Complete = std::move(Complete), Begin,
                                     End, Groups] {
     bool Skip = DescCopy.SkipFunctional && DescCopy.SkipFunctional();
-    if (Ctx.functional() && Groups > 0 && !Skip) {
-      kern::ArgsView Args = resolveArgs(*this, DescCopy);
-      const kern::KernelInfo &Kernel = *DescCopy.Kernel;
-      std::vector<std::byte> Scratch(Kernel.LocalBytes);
-      kern::Dim3 NumGroups = DescCopy.Range.numGroups();
-      uint64_t ItemsPerGroup = DescCopy.Range.itemsPerGroup();
-      for (uint64_t Flat = Begin; Flat < End; ++Flat) {
-        if (!Scratch.empty())
-          std::fill(Scratch.begin(), Scratch.end(), std::byte{0});
-        kern::executeWorkGroup(Kernel, DescCopy.Range,
-                               kern::unflattenGroupId(Flat, NumGroups), Args,
-                               0, ItemsPerGroup,
-                               Scratch.empty() ? nullptr : Scratch.data());
-      }
-    }
+    if (Ctx.functional() && Groups > 0 && !Skip)
+      kern::executeGroups(*DescCopy.Kernel, DescCopy.Range,
+                          resolveArgs(*this, DescCopy), Begin, End);
     Complete(Groups);
   });
 }

@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <vector>
 
 using namespace fcl;
 using namespace fcl::mcl;
@@ -187,18 +186,8 @@ struct GpuEngine::Run : std::enable_shared_from_this<GpuEngine::Run> {
                     (unsigned long long)WaveBegin,
                     (unsigned long long)(WaveBegin + Live),
                     (long long)Eng->Ctx.now().nanos());
-      kern::ArgsView Args = resolveArgs(*Eng, Desc);
-      const kern::KernelInfo &Kernel = *Desc.Kernel;
-      std::vector<std::byte> Scratch(Kernel.LocalBytes);
-      kern::Dim3 NumGroups = Desc.Range.numGroups();
-      for (uint64_t Flat = WaveBegin; Flat < WaveBegin + Live; ++Flat) {
-        if (!Scratch.empty())
-          std::fill(Scratch.begin(), Scratch.end(), std::byte{0});
-        kern::executeWorkGroup(Kernel, Desc.Range,
-                               kern::unflattenGroupId(Flat, NumGroups), Args,
-                               0, ItemsPerWg,
-                               Scratch.empty() ? nullptr : Scratch.data());
-      }
+      kern::executeGroups(*Desc.Kernel, Desc.Range, resolveArgs(*Eng, Desc),
+                          WaveBegin, WaveBegin + Live);
     }
     Executed += Live;
     beginWave();

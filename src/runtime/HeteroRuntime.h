@@ -17,6 +17,9 @@
 ///   * socl::SoclRuntime              - StarPU/SOCL-style task scheduler
 ///                                      (eager and dmda policies, Fig. 16)
 ///
+/// The baselines share one buffer table, runtime::ManagedRuntime
+/// (runtime/ManagedBuffer.h); work::withRuntime builds any of them by kind.
+///
 /// Because every implementation runs on the same simulated mcl::Context,
 /// execution times are directly comparable and deterministic.
 ///

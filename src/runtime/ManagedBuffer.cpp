@@ -97,14 +97,44 @@ void ManagedBuffer::invalidateDevices() {
     S.Valid = false;
 }
 
-mcl::Device *ManagedBuffer::anyValidDevice(mcl::Device *Preferred) const {
-  if (Preferred) {
-    const DeviceSlot *S = findSlot(*Preferred);
-    if (S && S->Valid)
-      return Preferred;
-  }
+mcl::Device *ManagedBuffer::anyValidDevice() const {
   for (const DeviceSlot &S : Slots)
     if (S.Valid)
       return S.Dev;
   return nullptr;
+}
+
+BufferId ManagedRuntime::createBuffer(uint64_t Size, std::string DebugName) {
+  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
+  Buffers.push_back(
+      std::make_unique<ManagedBuffer>(Ctx, Size, std::move(DebugName)));
+  return static_cast<BufferId>(Buffers.size() - 1);
+}
+
+void ManagedRuntime::writeBuffer(BufferId Id, const void *Src,
+                                 uint64_t Bytes) {
+  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
+  buf(Id).writeFromHost(Src, Bytes);
+}
+
+void ManagedRuntime::readBuffer(BufferId Id, void *Dst, uint64_t Bytes) {
+  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
+  ManagedBuffer &B = buf(Id);
+  FCL_CHECK(Bytes <= B.size(), "read overruns buffer");
+  fetchToHost(B);
+  if (Dst && B.hostData())
+    std::memcpy(Dst, B.hostData(), Bytes);
+}
+
+void ManagedRuntime::fetchToHost(ManagedBuffer &B) {
+  if (B.hostValid())
+    return;
+  mcl::Device *Src = B.anyValidDevice();
+  FCL_CHECK(Src != nullptr, "buffer has no valid copy anywhere");
+  B.ensureHost(queueFor(*Src));
+}
+
+ManagedBuffer &ManagedRuntime::buf(BufferId Id) {
+  FCL_CHECK(Id < Buffers.size(), "invalid buffer id");
+  return *Buffers[Id];
 }

@@ -10,7 +10,8 @@
 /// *manual* multi-device implementation keeps (and what the SOCL-style
 /// scheduler automates at task granularity): upload before use, download
 /// before host reads, invalidate on writes. FluidiCL has its own richer
-/// machinery (versions, merge buffers) in fluidicl/.
+/// machinery (versions, merge buffers) in fluidicl/. ManagedRuntime holds
+/// the buffer table the baseline runtimes share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 #include "mcl/Buffer.h"
 #include "mcl/CommandQueue.h"
 #include "mcl/Context.h"
+#include "runtime/HeteroRuntime.h"
 
 #include <memory>
 #include <string>
@@ -70,8 +72,8 @@ public:
   /// Marks every device copy stale, keeping the host valid.
   void invalidateDevices();
 
-  /// Device holding a valid copy (preferring \p Preferred), or null.
-  mcl::Device *anyValidDevice(mcl::Device *Preferred = nullptr) const;
+  /// The first device holding a valid copy, or null.
+  mcl::Device *anyValidDevice() const;
 
 private:
   struct DeviceSlot {
@@ -89,6 +91,31 @@ private:
   std::vector<std::byte> Shadow;
   bool HostIsValid = true;
   std::vector<DeviceSlot> Slots;
+};
+
+/// Base of the baseline runtimes that manage data by hand with
+/// ManagedBuffers (single-device, static partition, SOCL): the buffer
+/// table, host writes that invalidate every device copy, and blocking
+/// reads served from the host shadow.
+class ManagedRuntime : public HeteroRuntime {
+public:
+  BufferId createBuffer(uint64_t Size, std::string DebugName) override;
+  void writeBuffer(BufferId Id, const void *Src, uint64_t Bytes) override;
+  void readBuffer(BufferId Id, void *Dst, uint64_t Bytes) override;
+
+protected:
+  explicit ManagedRuntime(mcl::Context &Ctx) : HeteroRuntime(Ctx) {}
+
+  ManagedBuffer &buf(BufferId Id);
+  /// Makes \p B's host shadow current: a stale one is read back (blocking)
+  /// over queueFor() the device holding the data. Only one device does
+  /// while the host is stale, since a device upload needs a valid host.
+  void fetchToHost(ManagedBuffer &B);
+  /// The queue that moves data to and from \p Dev.
+  virtual mcl::CommandQueue &queueFor(mcl::Device &Dev) = 0;
+
+private:
+  std::vector<std::unique_ptr<ManagedBuffer>> Buffers;
 };
 
 } // namespace runtime

@@ -35,30 +35,9 @@ bool SplitModel::trained(const std::string &Kernel) const {
          It->second.GpuSeconds > 0;
 }
 
-ProfiledSplitRuntime::ProfiledSplitRuntime(mcl::Context &Ctx,
-                                           const SplitModel &Model)
-    : HeteroRuntime(Ctx), Model(Model), Body(Ctx, 1.0) {}
-
-BufferId ProfiledSplitRuntime::createBuffer(uint64_t Size,
-                                            std::string DebugName) {
-  return Body.createBuffer(Size, std::move(DebugName));
-}
-
-void ProfiledSplitRuntime::writeBuffer(BufferId Id, const void *Src,
-                                       uint64_t Bytes) {
-  Body.writeBuffer(Id, Src, Bytes);
-}
-
-void ProfiledSplitRuntime::readBuffer(BufferId Id, void *Dst,
-                                      uint64_t Bytes) {
-  Body.readBuffer(Id, Dst, Bytes);
-}
-
 void ProfiledSplitRuntime::launchKernel(const std::string &KernelName,
                                         const kern::NDRange &Range,
                                         const std::vector<KArg> &Args) {
-  Body.setGpuFraction(Model.gpuFraction(KernelName));
-  Body.launchKernel(KernelName, Range, Args);
+  setGpuFraction(Model.gpuFraction(KernelName));
+  StaticPartitionRuntime::launchKernel(KernelName, Range, Args);
 }
-
-void ProfiledSplitRuntime::finish() { Body.finish(); }

@@ -50,23 +50,19 @@ private:
 };
 
 /// Production runtime: per-kernel static splits at the trained fractions,
-/// with the same manual data management as StaticPartitionRuntime (which
-/// it delegates to, retuning the split before every launch).
-class ProfiledSplitRuntime final : public HeteroRuntime {
+/// with the same manual data management as StaticPartitionRuntime, whose
+/// split it retunes before every launch.
+class ProfiledSplitRuntime final : public StaticPartitionRuntime {
 public:
-  ProfiledSplitRuntime(mcl::Context &Ctx, const SplitModel &Model);
+  ProfiledSplitRuntime(mcl::Context &Ctx, const SplitModel &Model)
+      : StaticPartitionRuntime(Ctx, 1.0), Model(Model) {}
 
   std::string name() const override { return "ProfiledSplit"; }
-  BufferId createBuffer(uint64_t Size, std::string DebugName) override;
-  void writeBuffer(BufferId Id, const void *Src, uint64_t Bytes) override;
-  void readBuffer(BufferId Id, void *Dst, uint64_t Bytes) override;
   void launchKernel(const std::string &KernelName, const kern::NDRange &Range,
                     const std::vector<KArg> &Args) override;
-  void finish() override;
 
 private:
   const SplitModel &Model;
-  StaticPartitionRuntime Body;
 };
 
 } // namespace runtime

@@ -11,14 +11,12 @@
 #include "mcl/GpuEngine.h"
 #include "support/Error.h"
 
-#include <cstring>
-
 using namespace fcl;
 using namespace fcl::runtime;
 
 SingleDeviceRuntime::SingleDeviceRuntime(mcl::Context &Ctx,
                                          mcl::DeviceKind Kind)
-    : HeteroRuntime(Ctx),
+    : ManagedRuntime(Ctx),
       Dev(Kind == mcl::DeviceKind::Cpu ? Ctx.cpu() : Ctx.gpu()),
       Queue(Ctx.createQueue(Dev, "app")) {}
 
@@ -28,36 +26,16 @@ std::string SingleDeviceRuntime::name() const {
   return Dev.kind() == mcl::DeviceKind::Cpu ? "CPU" : "GPU";
 }
 
-ManagedBuffer &SingleDeviceRuntime::buf(BufferId Id) {
-  FCL_CHECK(Id < Buffers.size(), "invalid buffer id");
-  return *Buffers[Id];
-}
-
-BufferId SingleDeviceRuntime::createBuffer(uint64_t Size,
-                                           std::string DebugName) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  Buffers.push_back(
-      std::make_unique<ManagedBuffer>(Ctx, Size, std::move(DebugName)));
-  return static_cast<BufferId>(Buffers.size() - 1);
-}
-
 void SingleDeviceRuntime::writeBuffer(BufferId Id, const void *Src,
                                       uint64_t Bytes) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
+  ManagedRuntime::writeBuffer(Id, Src, Bytes);
   Stats.add("app_bytes_written", Bytes);
-  ManagedBuffer &B = buf(Id);
-  B.writeFromHost(Src, Bytes);
-  B.ensureOn(Dev, *Queue);
+  buf(Id).ensureOn(Dev, *Queue);
 }
 
 void SingleDeviceRuntime::readBuffer(BufferId Id, void *Dst, uint64_t Bytes) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
+  ManagedRuntime::readBuffer(Id, Dst, Bytes);
   Stats.add("app_bytes_read", Bytes);
-  ManagedBuffer &B = buf(Id);
-  FCL_CHECK(Bytes <= B.size(), "read overruns buffer");
-  B.ensureHost(*Queue);
-  if (Dst && B.hostData())
-    std::memcpy(Dst, B.hostData(), Bytes);
 }
 
 mcl::LaunchDesc

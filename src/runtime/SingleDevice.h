@@ -14,7 +14,6 @@
 #ifndef FCL_RUNTIME_SINGLEDEVICE_H
 #define FCL_RUNTIME_SINGLEDEVICE_H
 
-#include "runtime/HeteroRuntime.h"
 #include "runtime/ManagedBuffer.h"
 
 #include <memory>
@@ -24,13 +23,13 @@ namespace fcl {
 namespace runtime {
 
 /// Runs every command on one device (the CPU-only and GPU-only baselines).
-class SingleDeviceRuntime final : public HeteroRuntime {
+class SingleDeviceRuntime final : public ManagedRuntime {
 public:
   SingleDeviceRuntime(mcl::Context &Ctx, mcl::DeviceKind Kind);
   ~SingleDeviceRuntime() override;
 
   std::string name() const override;
-  BufferId createBuffer(uint64_t Size, std::string DebugName) override;
+  /// Uploads at once: the device is the only place the data is used.
   void writeBuffer(BufferId Id, const void *Src, uint64_t Bytes) override;
   void readBuffer(BufferId Id, void *Dst, uint64_t Bytes) override;
   void launchKernel(const std::string &KernelName, const kern::NDRange &Range,
@@ -44,14 +43,13 @@ public:
                               const std::vector<KArg> &Args);
 
 private:
-  ManagedBuffer &buf(BufferId Id);
+  mcl::CommandQueue &queueFor(mcl::Device &) override { return *Queue; }
   mcl::LaunchDesc buildLaunch(const std::string &KernelName,
                               const kern::NDRange &Range,
                               const std::vector<KArg> &Args);
 
   mcl::Device &Dev;
   std::unique_ptr<mcl::CommandQueue> Queue;
-  std::vector<std::unique_ptr<ManagedBuffer>> Buffers;
 };
 
 } // namespace runtime

@@ -11,14 +11,13 @@
 #include "support/Format.h"
 
 #include <cmath>
-#include <cstring>
 
 using namespace fcl;
 using namespace fcl::runtime;
 
 StaticPartitionRuntime::StaticPartitionRuntime(mcl::Context &Ctx,
                                                double GpuFraction)
-    : HeteroRuntime(Ctx), GpuFraction(GpuFraction),
+    : ManagedRuntime(Ctx), GpuFraction(GpuFraction),
       GpuQueue(Ctx.createQueue(Ctx.gpu(), "sp-gpu")),
       CpuQueue(Ctx.createQueue(Ctx.cpu(), "sp-cpu")) {
   FCL_CHECK(GpuFraction >= 0.0 && GpuFraction <= 1.0,
@@ -39,37 +38,8 @@ std::string StaticPartitionRuntime::name() const {
   return formatString("Static%2.0f", GpuFraction * 100.0);
 }
 
-ManagedBuffer &StaticPartitionRuntime::buf(BufferId Id) {
-  FCL_CHECK(Id < Buffers.size(), "invalid buffer id");
-  return *Buffers[Id];
-}
-
-BufferId StaticPartitionRuntime::createBuffer(uint64_t Size,
-                                              std::string DebugName) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  Buffers.push_back(
-      std::make_unique<ManagedBuffer>(Ctx, Size, std::move(DebugName)));
-  return static_cast<BufferId>(Buffers.size() - 1);
-}
-
-void StaticPartitionRuntime::writeBuffer(BufferId Id, const void *Src,
-                                         uint64_t Bytes) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  buf(Id).writeFromHost(Src, Bytes);
-}
-
-void StaticPartitionRuntime::readBuffer(BufferId Id, void *Dst,
-                                        uint64_t Bytes) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  ManagedBuffer &B = buf(Id);
-  FCL_CHECK(Bytes <= B.size(), "read overruns buffer");
-  if (!B.hostValid()) {
-    mcl::Device *Src = B.anyValidDevice(&Ctx.gpu());
-    FCL_CHECK(Src != nullptr, "buffer has no valid copy anywhere");
-    B.ensureHost(Src->kind() == mcl::DeviceKind::Gpu ? *GpuQueue : *CpuQueue);
-  }
-  if (Dst && B.hostData())
-    std::memcpy(Dst, B.hostData(), Bytes);
+mcl::CommandQueue &StaticPartitionRuntime::queueFor(mcl::Device &Dev) {
+  return Dev.kind() == mcl::DeviceKind::Gpu ? *GpuQueue : *CpuQueue;
 }
 
 void StaticPartitionRuntime::launchOn(mcl::Device &Dev,
@@ -118,12 +88,7 @@ void StaticPartitionRuntime::launchKernel(const std::string &KernelName,
     if (!Args[I].IsBuffer)
       continue;
     ManagedBuffer &B = buf(Args[I].Buf);
-    if (!B.hostValid()) {
-      mcl::Device *Src = B.anyValidDevice(&Ctx.gpu());
-      FCL_CHECK(Src != nullptr, "buffer has no valid copy anywhere");
-      B.ensureHost(Src->kind() == mcl::DeviceKind::Gpu ? *GpuQueue
-                                                       : *CpuQueue);
-    }
+    fetchToHost(B);
     if (UsesGpu)
       B.ensureOn(Ctx.gpu(), *GpuQueue);
     if (UsesCpu)

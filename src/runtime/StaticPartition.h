@@ -17,7 +17,6 @@
 #ifndef FCL_RUNTIME_STATICPARTITION_H
 #define FCL_RUNTIME_STATICPARTITION_H
 
-#include "runtime/HeteroRuntime.h"
 #include "runtime/ManagedBuffer.h"
 
 #include <memory>
@@ -27,7 +26,7 @@ namespace fcl {
 namespace runtime {
 
 /// Splits every kernel launch at a fixed GPU work fraction.
-class StaticPartitionRuntime final : public HeteroRuntime {
+class StaticPartitionRuntime : public ManagedRuntime {
 public:
   /// \p GpuFraction in [0, 1]: share of flat work-groups (from the low end)
   /// run on the GPU; the rest runs on the CPU.
@@ -35,9 +34,6 @@ public:
   ~StaticPartitionRuntime() override;
 
   std::string name() const override;
-  BufferId createBuffer(uint64_t Size, std::string DebugName) override;
-  void writeBuffer(BufferId Id, const void *Src, uint64_t Bytes) override;
-  void readBuffer(BufferId Id, void *Dst, uint64_t Bytes) override;
   void launchKernel(const std::string &KernelName, const kern::NDRange &Range,
                     const std::vector<KArg> &Args) override;
   void finish() override;
@@ -49,7 +45,7 @@ public:
   void setGpuFraction(double Fraction);
 
 private:
-  ManagedBuffer &buf(BufferId Id);
+  mcl::CommandQueue &queueFor(mcl::Device &Dev) override;
   void launchOn(mcl::Device &Dev, mcl::CommandQueue &Queue,
                 const kern::KernelInfo &Kernel, const kern::NDRange &Range,
                 const std::vector<KArg> &Args, uint64_t FlatBegin,
@@ -58,7 +54,6 @@ private:
   double GpuFraction;
   std::unique_ptr<mcl::CommandQueue> GpuQueue;
   std::unique_ptr<mcl::CommandQueue> CpuQueue;
-  std::vector<std::unique_ptr<ManagedBuffer>> Buffers;
 };
 
 } // namespace runtime

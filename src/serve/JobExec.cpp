@@ -10,35 +10,25 @@
 #include "support/Error.h"
 #include "work/Driver.h"
 
-#include <cmath>
-
 using namespace fcl;
 using namespace fcl::serve;
 
-bool fcl::serve::validateResults(
-    const work::Workload &W, std::vector<std::vector<std::byte>> &Host,
-    const std::vector<std::vector<std::byte>> &Results) {
-  work::computeReference(W, Host);
-  for (size_t R = 0; R < W.ResultBuffers.size(); ++R) {
-    const auto *Got = reinterpret_cast<const float *>(Results[R].data());
-    const auto *Want =
-        reinterpret_cast<const float *>(Host[W.ResultBuffers[R]].data());
-    uint64_t Count = Results[R].size() / sizeof(float);
-    for (uint64_t J = 0; J < Count; ++J) {
-      double Err = std::fabs(static_cast<double>(Got[J]) - Want[J]);
-      double Tol = 1e-5 + 1e-5 * std::fabs(Want[J]);
-      if (Err > Tol)
-        return false;
-    }
+void JobExec::finishJob() {
+  if (Validate && Ctx.functional()) {
+    work::computeReference(W, Host);
+    ValidationFailed = !work::matchesReference(W, Host, Results);
   }
-  return true;
+  FCL_CHECK(OnDone, "job finished twice");
+  DoneFn Fn = std::move(OnDone);
+  OnDone = nullptr;
+  Fn();
 }
 
 // --- CoopJobExec -----------------------------------------------------------
 
 CoopJobExec::CoopJobExec(mcl::Context &Ctx, const work::Workload &W,
                          const fluidicl::Options &Opts, bool Validate)
-    : Ctx(Ctx), W(W), Validate(Validate),
+    : JobExec(Ctx, W, Validate),
       RT(std::make_unique<fluidicl::Runtime>(Ctx, Opts)) {}
 
 void CoopJobExec::start(DoneFn Done) {
@@ -87,20 +77,11 @@ void CoopJobExec::readNext() {
                       W.Buffers[BufIdx].Bytes, [this] { readNext(); });
 }
 
-void CoopJobExec::finishJob() {
-  if (Validate && Ctx.functional())
-    ValidationFailed = !validateResults(W, Host, Results);
-  FCL_CHECK(OnDone, "job finished twice");
-  DoneFn Fn = std::move(OnDone);
-  OnDone = nullptr;
-  Fn();
-}
-
 // --- SingleJobExec ---------------------------------------------------------
 
 SingleJobExec::SingleJobExec(mcl::Context &Ctx, mcl::Device &Dev,
                              const work::Workload &W, bool Validate)
-    : Ctx(Ctx), Dev(Dev), W(W), Validate(Validate) {}
+    : JobExec(Ctx, W, Validate), Dev(Dev) {}
 
 void SingleJobExec::start(DoneFn Done) {
   OnDone = std::move(Done);
@@ -141,13 +122,4 @@ void SingleJobExec::start(DoneFn Done) {
   // and read above has completed.
   mcl::EventPtr Tail = Q->enqueueCallback([] {});
   Tail->onComplete([this] { finishJob(); });
-}
-
-void SingleJobExec::finishJob() {
-  if (Validate && Ctx.functional())
-    ValidationFailed = !validateResults(W, Host, Results);
-  FCL_CHECK(OnDone, "job finished twice");
-  DoneFn Fn = std::move(OnDone);
-  OnDone = nullptr;
-  Fn();
 }

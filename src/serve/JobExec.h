@@ -41,10 +41,10 @@
 namespace fcl {
 namespace serve {
 
-/// Base of the two executor shapes. Lifetime: the engine keeps every
-/// executor alive until the whole run is torn down, so trailing cooperative
-/// work (DH transfers after the client already has its results) can drain
-/// on the shared clock without dangling queues.
+/// Base of the executor shapes (dag::DagJobExec is the third). Lifetime:
+/// the engine keeps every executor alive until the whole run is torn down,
+/// so trailing cooperative work (DH transfers after the client already has
+/// its results) can drain on the shared clock without dangling queues.
 class JobExec {
 public:
   using DoneFn = std::function<void()>;
@@ -65,6 +65,23 @@ public:
   virtual fluidicl::Runtime *fclRuntime() { return nullptr; }
 
 protected:
+  JobExec(mcl::Context &Ctx, const work::Workload &W, bool Validate)
+      : Ctx(Ctx), W(W), Validate(Validate) {}
+
+  /// Ends the job: with validation on in functional mode, checks Results
+  /// against the reference computed from Host (work::matchesReference),
+  /// then fires OnDone exactly once.
+  void finishJob();
+
+  mcl::Context &Ctx;
+  const work::Workload &W;
+  bool Validate;
+  /// The job's initial host data (functional mode only); validation runs
+  /// the host reference over it in place.
+  std::vector<std::vector<std::byte>> Host;
+  /// One vector per W.ResultBuffers entry (functional mode only).
+  std::vector<std::vector<std::byte>> Results;
+  DoneFn OnDone;
   bool ValidationFailed = false;
 };
 
@@ -85,18 +102,11 @@ public:
 private:
   void launchNext();
   void readNext();
-  void finishJob();
 
-  mcl::Context &Ctx;
-  const work::Workload &W;
-  bool Validate;
   std::unique_ptr<fluidicl::Runtime> RT;
   std::vector<runtime::BufferId> Ids;
-  std::vector<std::vector<std::byte>> Host;    // Functional mode only.
-  std::vector<std::vector<std::byte>> Results; // Functional mode only.
   size_t NextCall = 0;
   size_t NextRead = 0;
-  DoneFn OnDone;
 };
 
 /// Whole job on one device through a private in-order queue.
@@ -108,25 +118,10 @@ public:
   void start(DoneFn OnDone) override;
 
 private:
-  void finishJob();
-
-  mcl::Context &Ctx;
   mcl::Device &Dev;
-  const work::Workload &W;
-  bool Validate;
   std::unique_ptr<mcl::CommandQueue> Q;
   std::vector<std::unique_ptr<mcl::Buffer>> Bufs;
-  std::vector<std::vector<std::byte>> Host;
-  std::vector<std::vector<std::byte>> Results;
-  DoneFn OnDone;
 };
-
-/// Validates \p Results (one vector per W.ResultBuffers entry) against the
-/// host reference; returns true when every float matches within tolerance.
-/// Shared by both executors and only meaningful in functional mode.
-bool validateResults(const work::Workload &W,
-                     std::vector<std::vector<std::byte>> &Host,
-                     const std::vector<std::vector<std::byte>> &Results);
 
 } // namespace serve
 } // namespace fcl

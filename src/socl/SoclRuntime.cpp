@@ -10,14 +10,12 @@
 #include "support/Error.h"
 #include "support/Log.h"
 
-#include <cstring>
-
 using namespace fcl;
 using namespace fcl::socl;
 
 SoclRuntime::SoclRuntime(mcl::Context &Ctx, Policy P, PerfModel &Model,
                          bool Calibrating, uint64_t TaskSeed)
-    : HeteroRuntime(Ctx), P(P), Model(Model), Calibrating(Calibrating),
+    : ManagedRuntime(Ctx), P(P), Model(Model), Calibrating(Calibrating),
       TaskCounter(TaskSeed),
       GpuQueue(Ctx.createQueue(Ctx.gpu(), "socl-gpu")),
       CpuQueue(Ctx.createQueue(Ctx.cpu(), "socl-cpu")) {}
@@ -26,39 +24,6 @@ SoclRuntime::~SoclRuntime() { finish(); }
 
 std::string SoclRuntime::name() const {
   return P == Policy::Eager ? "SOCL-eager" : "SOCL-dmda";
-}
-
-runtime::ManagedBuffer &SoclRuntime::buf(runtime::BufferId Id) {
-  FCL_CHECK(Id < Buffers.size(), "invalid buffer id");
-  return *Buffers[Id];
-}
-
-runtime::BufferId SoclRuntime::createBuffer(uint64_t Size,
-                                            std::string DebugName) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  Buffers.push_back(std::make_unique<runtime::ManagedBuffer>(
-      Ctx, Size, std::move(DebugName)));
-  return static_cast<runtime::BufferId>(Buffers.size() - 1);
-}
-
-void SoclRuntime::writeBuffer(runtime::BufferId Id, const void *Src,
-                              uint64_t Bytes) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  buf(Id).writeFromHost(Src, Bytes);
-}
-
-void SoclRuntime::readBuffer(runtime::BufferId Id, void *Dst,
-                             uint64_t Bytes) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  runtime::ManagedBuffer &B = buf(Id);
-  FCL_CHECK(Bytes <= B.size(), "read overruns buffer");
-  if (!B.hostValid()) {
-    mcl::Device *Src = B.anyValidDevice(&Ctx.gpu());
-    FCL_CHECK(Src != nullptr, "buffer has no valid copy anywhere");
-    B.ensureHost(queueFor(*Src));
-  }
-  if (Dst && B.hostData())
-    std::memcpy(Dst, B.hostData(), Bytes);
 }
 
 mcl::CommandQueue &SoclRuntime::queueFor(mcl::Device &Dev) {
@@ -131,11 +96,7 @@ void SoclRuntime::launchKernel(const std::string &KernelName,
     runtime::ManagedBuffer &B = buf(A.Buf);
     if (B.validOn(Dev))
       continue;
-    if (!B.hostValid()) {
-      mcl::Device *Src = B.anyValidDevice();
-      FCL_CHECK(Src != nullptr, "buffer has no valid copy anywhere");
-      B.ensureHost(queueFor(*Src));
-    }
+    fetchToHost(B);
     B.ensureOn(Dev, Queue);
   }
 

@@ -26,7 +26,6 @@
 #ifndef FCL_SOCL_SOCLRUNTIME_H
 #define FCL_SOCL_SOCLRUNTIME_H
 
-#include "runtime/HeteroRuntime.h"
 #include "runtime/ManagedBuffer.h"
 #include "socl/PerfModel.h"
 
@@ -43,7 +42,7 @@ enum class Policy {
 };
 
 /// SOCL-like heterogeneous task runtime.
-class SoclRuntime final : public runtime::HeteroRuntime {
+class SoclRuntime final : public runtime::ManagedRuntime {
 public:
   /// \p Model is the (externally owned) performance-model store; dmda
   /// reads estimates from it, and *all* runs record into it - run the
@@ -56,11 +55,6 @@ public:
   ~SoclRuntime() override;
 
   std::string name() const override;
-  runtime::BufferId createBuffer(uint64_t Size,
-                                 std::string DebugName) override;
-  void writeBuffer(runtime::BufferId Id, const void *Src,
-                   uint64_t Bytes) override;
-  void readBuffer(runtime::BufferId Id, void *Dst, uint64_t Bytes) override;
   void launchKernel(const std::string &KernelName, const kern::NDRange &Range,
                     const std::vector<runtime::KArg> &Args) override;
   void finish() override;
@@ -71,11 +65,10 @@ public:
   }
 
 private:
-  runtime::ManagedBuffer &buf(runtime::BufferId Id);
   mcl::Device &chooseDevice(const std::string &KernelName,
                             const kern::NDRange &Range,
                             const std::vector<runtime::KArg> &Args);
-  mcl::CommandQueue &queueFor(mcl::Device &Dev);
+  mcl::CommandQueue &queueFor(mcl::Device &Dev) override;
   Duration pendingTransferCost(mcl::Device &Dev,
                                const std::vector<runtime::KArg> &Args);
 
@@ -85,7 +78,6 @@ private:
   uint64_t TaskCounter = 0;
   std::unique_ptr<mcl::CommandQueue> GpuQueue;
   std::unique_ptr<mcl::CommandQueue> CpuQueue;
-  std::vector<std::unique_ptr<runtime::ManagedBuffer>> Buffers;
   std::vector<mcl::DeviceKind> Placements;
 };
 

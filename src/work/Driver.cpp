@@ -15,8 +15,8 @@
 #include "support/Error.h"
 #include "support/Rng.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 
 using namespace fcl;
 using namespace fcl::work;
@@ -36,36 +36,54 @@ std::vector<std::vector<std::byte>> fcl::work::initHostData(const Workload &W) {
   return Bufs;
 }
 
+void fcl::work::executeCall(const kern::KernelInfo &Kernel,
+                            const KernelCall &Call,
+                            std::vector<std::vector<std::byte>> &HostBufs) {
+  std::vector<kern::ArgValue> Values;
+  for (const runtime::KArg &A : Call.Args) {
+    if (A.IsBuffer) {
+      std::vector<std::byte> &B = HostBufs[A.Buf];
+      Values.push_back(kern::ArgValue::buffer(B.data(), B.size()));
+    } else {
+      kern::ArgValue V;
+      V.IntValue = A.IntValue;
+      V.FpValue = A.FpValue;
+      Values.push_back(V);
+    }
+  }
+  kern::executeGroups(Kernel, Call.Range, kern::ArgsView(std::move(Values)),
+                      0, Call.Range.totalGroups());
+}
+
 void fcl::work::computeReference(const Workload &W,
                                  std::vector<std::vector<std::byte>> &HostBufs) {
   FCL_CHECK(HostBufs.size() == W.Buffers.size(), "buffer count mismatch");
-  for (const KernelCall &Call : W.Calls) {
-    const kern::KernelInfo &Kernel =
-        kern::Registry::builtin().get(Call.Kernel);
-    std::vector<kern::ArgValue> Values;
-    for (const runtime::KArg &A : Call.Args) {
-      if (A.IsBuffer) {
-        std::vector<std::byte> &B = HostBufs[A.Buf];
-        Values.push_back(kern::ArgValue::buffer(B.data(), B.size()));
-      } else {
-        kern::ArgValue V;
-        V.IntValue = A.IntValue;
-        V.FpValue = A.FpValue;
-        Values.push_back(V);
-      }
-    }
-    kern::ArgsView Args(std::move(Values));
-    std::vector<std::byte> Scratch(Kernel.LocalBytes);
-    kern::Dim3 Groups = Call.Range.numGroups();
-    uint64_t Items = Call.Range.itemsPerGroup();
-    for (uint64_t Flat = 0; Flat < Call.Range.totalGroups(); ++Flat) {
-      if (!Scratch.empty())
-        std::fill(Scratch.begin(), Scratch.end(), std::byte{0});
-      kern::executeWorkGroup(Kernel, Call.Range,
-                             kern::unflattenGroupId(Flat, Groups), Args, 0,
-                             Items, Scratch.empty() ? nullptr : Scratch.data());
+  for (const KernelCall &Call : W.Calls)
+    executeCall(kern::Registry::builtin().get(Call.Kernel), Call, HostBufs);
+}
+
+bool fcl::work::matchesReference(
+    const Workload &W, const std::vector<std::vector<std::byte>> &Reference,
+    const std::vector<std::vector<std::byte>> &Results, double *MaxAbsError) {
+  bool Match = true;
+  double MaxErr = 0;
+  for (size_t R = 0; R < W.ResultBuffers.size(); ++R) {
+    const auto *Got = reinterpret_cast<const float *>(Results[R].data());
+    const auto *Want =
+        reinterpret_cast<const float *>(Reference[W.ResultBuffers[R]].data());
+    uint64_t Count = Results[R].size() / sizeof(float);
+    for (uint64_t J = 0; J < Count; ++J) {
+      double Err = std::fabs(static_cast<double>(Got[J]) - Want[J]);
+      MaxErr = std::max(MaxErr, Err);
+      // Identical operation order on every path: results must agree to
+      // tiny float noise (merge copies bytes verbatim). NaN fails too.
+      if (!(Err <= 1e-5 + 1e-5 * std::fabs(Want[J])))
+        Match = false;
     }
   }
+  if (MaxAbsError)
+    *MaxAbsError = MaxErr;
+  return Match;
 }
 
 RunResult fcl::work::runWorkload(runtime::HeteroRuntime &RT, const Workload &W,
@@ -109,73 +127,85 @@ RunResult fcl::work::runWorkload(runtime::HeteroRuntime &RT, const Workload &W,
   // paper measures); draining trailing cooperative work (e.g. a CPU
   // subkernel whose results the GPU already produced) happens afterwards.
   RunResult Res;
-  Res.RuntimeName = RT.name();
   Res.Total = RT.now() - Start;
   RT.finish();
 
   if (Validate && Functional) {
     computeReference(W, Host);
     Res.Validated = true;
-    Res.Valid = true;
-    for (size_t R = 0; R < W.ResultBuffers.size(); ++R) {
-      const auto *Got = reinterpret_cast<const float *>(Results[R].data());
-      const auto *Want =
-          reinterpret_cast<const float *>(Host[W.ResultBuffers[R]].data());
-      uint64_t Count = Results[R].size() / sizeof(float);
-      for (uint64_t J = 0; J < Count; ++J) {
-        double Err = std::fabs(static_cast<double>(Got[J]) - Want[J]);
-        if (Err > Res.MaxAbsError)
-          Res.MaxAbsError = Err;
-        // Identical operation order on every path: results must agree to
-        // tiny float noise (merge copies bytes verbatim).
-        double Tol = 1e-5 + 1e-5 * std::fabs(Want[J]);
-        if (Err > Tol)
-          Res.Valid = false;
-      }
-    }
+    Res.Valid = matchesReference(W, Host, Results, &Res.MaxAbsError);
   }
   return Res;
 }
 
-Duration fcl::work::timeUnder(RuntimeKind K, const Workload &W,
-                              const RunConfig &C) {
+const std::vector<NamedRuntime> &fcl::work::runtimeKinds() {
+  static const std::vector<NamedRuntime> Kinds = {
+      {"cpu", RuntimeKind::CpuOnly},
+      {"gpu", RuntimeKind::GpuOnly},
+      {"static", RuntimeKind::Static},
+      {"socl-eager", RuntimeKind::SoclEager},
+      {"socl-dmda", RuntimeKind::SoclDmda},
+      {"fluidicl", RuntimeKind::FluidiCL},
+  };
+  return Kinds;
+}
+
+void fcl::work::withRuntime(
+    RuntimeKind K, mcl::Context &Ctx, const Workload &W, const RunConfig &C,
+    const std::function<void(runtime::HeteroRuntime &)> &Fn) {
   switch (K) {
-  case RuntimeKind::CpuOnly: {
-    mcl::Context Ctx(C.M, C.Mode);
-    runtime::SingleDeviceRuntime RT(Ctx, mcl::DeviceKind::Cpu);
-    return runWorkload(RT, W, false).Total;
-  }
+  case RuntimeKind::CpuOnly:
   case RuntimeKind::GpuOnly: {
-    mcl::Context Ctx(C.M, C.Mode);
-    runtime::SingleDeviceRuntime RT(Ctx, mcl::DeviceKind::Gpu);
-    return runWorkload(RT, W, false).Total;
+    runtime::SingleDeviceRuntime RT(Ctx, K == RuntimeKind::CpuOnly
+                                             ? mcl::DeviceKind::Cpu
+                                             : mcl::DeviceKind::Gpu);
+    Fn(RT);
+    return;
   }
-  case RuntimeKind::FluidiCL: {
-    mcl::Context Ctx(C.M, C.Mode);
-    fluidicl::Runtime RT(Ctx, C.FclOpts);
-    return runWorkload(RT, W, false).Total;
+  case RuntimeKind::Static: {
+    runtime::StaticPartitionRuntime RT(Ctx, C.GpuFraction);
+    Fn(RT);
+    return;
   }
   case RuntimeKind::SoclEager: {
     socl::PerfModel Model;
-    mcl::Context Ctx(C.M, C.Mode);
     socl::SoclRuntime RT(Ctx, socl::Policy::Eager, Model);
-    return runWorkload(RT, W, false).Total;
+    Fn(RT);
+    return;
   }
   case RuntimeKind::SoclDmda: {
+    // dmda places tasks by a per-kernel performance model; the paper runs
+    // each application at least 10 times to calibrate it.
+    constexpr int CalibrationRuns = 10;
     socl::PerfModel Model;
-    for (int I = 0; I < C.DmdaCalibrationRuns; ++I) {
-      mcl::Context Ctx(C.M, C.Mode);
-      socl::SoclRuntime RT(Ctx, socl::Policy::Dmda, Model,
-                           /*Calibrating=*/true,
-                           /*TaskSeed=*/static_cast<uint64_t>(I));
-      runWorkload(RT, W, false);
+    for (int I = 0; I < CalibrationRuns; ++I) {
+      mcl::Context CalCtx(C.M, C.Mode);
+      socl::SoclRuntime Cal(CalCtx, socl::Policy::Dmda, Model,
+                            /*Calibrating=*/true,
+                            /*TaskSeed=*/static_cast<uint64_t>(I));
+      runWorkload(Cal, W, false);
     }
-    mcl::Context Ctx(C.M, C.Mode);
     socl::SoclRuntime RT(Ctx, socl::Policy::Dmda, Model);
-    return runWorkload(RT, W, false).Total;
+    Fn(RT);
+    return;
+  }
+  case RuntimeKind::FluidiCL: {
+    fluidicl::Runtime RT(Ctx, C.FclOpts);
+    Fn(RT);
+    return;
   }
   }
   FCL_UNREACHABLE("covered switch");
+}
+
+Duration fcl::work::timeUnder(RuntimeKind K, const Workload &W,
+                              const RunConfig &C) {
+  mcl::Context Ctx(C.M, C.Mode);
+  Duration Total;
+  withRuntime(K, Ctx, W, C, [&](runtime::HeteroRuntime &RT) {
+    Total = runWorkload(RT, W, false).Total;
+  });
+  return Total;
 }
 
 stats::RunReport
@@ -193,65 +223,23 @@ fcl::work::collectRunReport(const runtime::HeteroRuntime &RT,
   return Rep;
 }
 
-namespace {
-
-stats::RunReport runReported(runtime::HeteroRuntime &RT, const Workload &W,
-                             trace::Tracer *T) {
-  if (T)
-    RT.context().setTracer(T);
-  RunResult Res = runWorkload(RT, W, false);
-  return collectRunReport(RT, W, Res.Total, T);
-}
-
-} // namespace
-
 stats::RunReport fcl::work::reportUnder(RuntimeKind K, const Workload &W,
                                         const RunConfig &C,
                                         trace::Tracer *T) {
-  switch (K) {
-  case RuntimeKind::CpuOnly: {
-    mcl::Context Ctx(C.M, C.Mode);
-    runtime::SingleDeviceRuntime RT(Ctx, mcl::DeviceKind::Cpu);
-    return runReported(RT, W, T);
-  }
-  case RuntimeKind::GpuOnly: {
-    mcl::Context Ctx(C.M, C.Mode);
-    runtime::SingleDeviceRuntime RT(Ctx, mcl::DeviceKind::Gpu);
-    return runReported(RT, W, T);
-  }
-  case RuntimeKind::FluidiCL: {
-    mcl::Context Ctx(C.M, C.Mode);
-    fluidicl::Runtime RT(Ctx, C.FclOpts);
-    return runReported(RT, W, T);
-  }
-  case RuntimeKind::SoclEager: {
-    socl::PerfModel Model;
-    mcl::Context Ctx(C.M, C.Mode);
-    socl::SoclRuntime RT(Ctx, socl::Policy::Eager, Model);
-    return runReported(RT, W, T);
-  }
-  case RuntimeKind::SoclDmda: {
-    socl::PerfModel Model;
-    for (int I = 0; I < C.DmdaCalibrationRuns; ++I) {
-      mcl::Context Ctx(C.M, C.Mode);
-      socl::SoclRuntime RT(Ctx, socl::Policy::Dmda, Model,
-                           /*Calibrating=*/true,
-                           /*TaskSeed=*/static_cast<uint64_t>(I));
-      runWorkload(RT, W, false);
-    }
-    mcl::Context Ctx(C.M, C.Mode);
-    socl::SoclRuntime RT(Ctx, socl::Policy::Dmda, Model);
-    return runReported(RT, W, T);
-  }
-  }
-  FCL_UNREACHABLE("covered switch");
+  mcl::Context Ctx(C.M, C.Mode);
+  Ctx.setTracer(T);
+  stats::RunReport Rep;
+  withRuntime(K, Ctx, W, C, [&](runtime::HeteroRuntime &RT) {
+    Rep = collectRunReport(RT, W, runWorkload(RT, W, false).Total, T);
+  });
+  return Rep;
 }
 
 Duration fcl::work::timeStaticPartition(const Workload &W, double GpuFraction,
                                         const RunConfig &C) {
-  mcl::Context Ctx(C.M, C.Mode);
-  runtime::StaticPartitionRuntime RT(Ctx, GpuFraction);
-  return runWorkload(RT, W, false).Total;
+  RunConfig Split = C;
+  Split.GpuFraction = GpuFraction;
+  return timeUnder(RuntimeKind::Static, W, Split);
 }
 
 Duration fcl::work::oracleStaticPartition(const Workload &W,

@@ -7,10 +7,12 @@
 /// \file
 /// Runs a Workload under any runtime on a fresh simulated machine and
 /// reports the total running time (including all data transfers, as the
-/// paper measures; platform initialization is excluded). Also provides the
-/// comparison helpers every bench harness uses: CPU-only/GPU-only
-/// baselines, static-partition sweeps (OracleSP), FluidiCL with arbitrary
-/// options, and calibrated SOCL runs.
+/// paper measures; platform initialization is excluded). One table of
+/// runtime kinds (runtimeKinds, withRuntime) builds every runtime the
+/// tools and bench harnesses compare: CPU-only/GPU-only baselines, static
+/// partitions (OracleSP sweeps), calibrated SOCL runs and FluidiCL with
+/// arbitrary options. The host reference (computeReference) and the one
+/// result check (matchesReference) live here too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,14 +20,15 @@
 #define FCL_WORK_DRIVER_H
 
 #include "fluidicl/Options.h"
-#include "runtime/ProfiledSplit.h"
 #include "hw/Machine.h"
+#include "kern/Kernel.h"
 #include "mcl/Context.h"
+#include "runtime/ProfiledSplit.h"
 #include "stats/Report.h"
 #include "work/Workload.h"
 
 #include <cstddef>
-#include <string>
+#include <functional>
 #include <vector>
 
 namespace fcl {
@@ -33,7 +36,6 @@ namespace work {
 
 /// Outcome of one application run.
 struct RunResult {
-  std::string RuntimeName;
   /// Total running time: buffer setup + transfers + kernels + readback.
   Duration Total;
   /// Whether functional validation was performed and its outcome.
@@ -45,6 +47,11 @@ struct RunResult {
 /// Deterministic pseudo-random host data for every buffer of \p W.
 std::vector<std::vector<std::byte>> initHostData(const Workload &W);
 
+/// Executes \p Call with \p Kernel directly on \p HostBufs (indexed like
+/// Workload::Buffers): every work-group of the call's range, in flat order.
+void executeCall(const kern::KernelInfo &Kernel, const KernelCall &Call,
+                 std::vector<std::vector<std::byte>> &HostBufs);
+
 /// Executes \p W's kernel sequence directly on \p HostBufs (the reference
 /// a correct runtime must match bit-for-bit up to float associativity -
 /// our kernels are executed with identical operation order everywhere, so
@@ -52,29 +59,57 @@ std::vector<std::vector<std::byte>> initHostData(const Workload &W);
 void computeReference(const Workload &W,
                       std::vector<std::vector<std::byte>> &HostBufs);
 
+/// True when every float of \p Results (one vector per W.ResultBuffers
+/// entry) is within 1e-5 + 1e-5 * |want| of \p Reference, the host
+/// buffers after computeReference (indexed like W.Buffers). When given,
+/// \p MaxAbsError receives the largest absolute difference.
+bool matchesReference(const Workload &W,
+                      const std::vector<std::vector<std::byte>> &Reference,
+                      const std::vector<std::vector<std::byte>> &Results,
+                      double *MaxAbsError = nullptr);
+
 /// Runs \p W under \p RT; validates read-back results against the host
 /// reference when \p Validate and the context is functional.
 RunResult runWorkload(runtime::HeteroRuntime &RT, const Workload &W,
                       bool Validate);
 
-/// Which runtime to construct for a timed run.
+/// The runtimes an application can run under, in the order the tools list
+/// them (paper Figures 13 and 16).
 enum class RuntimeKind {
   CpuOnly,
   GpuOnly,
-  FluidiCL,
+  /// Manual split at RunConfig::GpuFraction (Figures 2/3, OracleSP).
+  Static,
   SoclEager,
   SoclDmda,
+  FluidiCL,
 };
+
+/// A runtime kind and the name the command-line tools give it.
+struct NamedRuntime {
+  const char *Name;
+  RuntimeKind Kind;
+};
+
+/// Every RuntimeKind once, in enum order, with its tool name: cpu, gpu,
+/// static, socl-eager, socl-dmda, fluidicl.
+const std::vector<NamedRuntime> &runtimeKinds();
 
 /// Configuration for timed comparison runs.
 struct RunConfig {
   hw::Machine M = hw::paperMachine();
   mcl::ExecMode Mode = mcl::ExecMode::TimingOnly;
   fluidicl::Options FclOpts;
-  /// Calibration runs before the measured SOCL-dmda run (the paper uses
-  /// at least 10).
-  int DmdaCalibrationRuns = 10;
+  /// GPU share of every kernel's work-groups under RuntimeKind::Static.
+  double GpuFraction = 0.5;
 };
+
+/// Builds runtime \p K on \p Ctx from \p C and hands it to \p Fn; the
+/// runtime lives until \p Fn returns. SOCL-dmda first runs \p W ten times
+/// on fresh contexts to calibrate its performance model, as the paper does.
+void withRuntime(RuntimeKind K, mcl::Context &Ctx, const Workload &W,
+                 const RunConfig &C,
+                 const std::function<void(runtime::HeteroRuntime &)> &Fn);
 
 /// Total running time of \p W under runtime \p K on a fresh machine.
 Duration timeUnder(RuntimeKind K, const Workload &W,
@@ -96,7 +131,8 @@ stats::RunReport reportUnder(RuntimeKind K, const Workload &W,
                              const RunConfig &C = RunConfig(),
                              trace::Tracer *T = nullptr);
 
-/// Total running time under a manual static partition at \p GpuFraction.
+/// Total running time under a manual static partition at \p GpuFraction
+/// (timeUnder(RuntimeKind::Static) with C.GpuFraction replaced).
 Duration timeStaticPartition(const Workload &W, double GpuFraction,
                              const RunConfig &C = RunConfig());
 

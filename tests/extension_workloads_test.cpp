@@ -40,11 +40,7 @@ kern::ArgValue bufArg(std::vector<float> &V) {
 
 void runKernel(const kern::KernelInfo &Kernel, const kern::NDRange &Range,
                const kern::ArgsView &Args) {
-  kern::Dim3 Groups = Range.numGroups();
-  for (uint64_t Flat = 0; Flat < Range.totalGroups(); ++Flat)
-    kern::executeWorkGroup(Kernel, Range,
-                           kern::unflattenGroupId(Flat, Groups), Args, 0,
-                           Range.itemsPerGroup(), nullptr);
+  kern::executeGroups(Kernel, Range, Args, 0, Range.totalGroups());
 }
 
 TEST(ExtensionKernelTest, MvtMatchesClosedForm) {

@@ -26,15 +26,7 @@ namespace {
 /// Runs \p Kernel functionally over the full \p Range.
 void runKernel(const KernelInfo &Kernel, const NDRange &Range,
                const ArgsView &Args) {
-  std::vector<std::byte> Scratch(Kernel.LocalBytes);
-  Dim3 Groups = Range.numGroups();
-  for (uint64_t Flat = 0; Flat < Range.totalGroups(); ++Flat) {
-    if (!Scratch.empty())
-      std::fill(Scratch.begin(), Scratch.end(), std::byte{0});
-    executeWorkGroup(Kernel, Range, unflattenGroupId(Flat, Groups), Args, 0,
-                     Range.itemsPerGroup(),
-                     Scratch.empty() ? nullptr : Scratch.data());
-  }
+  executeGroups(Kernel, Range, Args, 0, Range.totalGroups());
 }
 
 std::vector<float> randomVec(size_t N, uint64_t Seed) {

@@ -10,6 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <set>
+#include <string>
+
 using namespace fcl;
 using namespace fcl::work;
 
@@ -142,6 +146,62 @@ TEST(DriverTest, ValidationDetectsMismatch) {
   EXPECT_TRUE(Res.Validated);
   EXPECT_TRUE(Res.Valid);
   EXPECT_LT(Res.MaxAbsError, 1e-5);
+}
+
+TEST(DriverTest, MatchesReferenceRejectsOneFloatBeyondTolerance) {
+  Workload W = testSuite()[1]; // BICG: two result buffers.
+  std::vector<std::vector<std::byte>> Ref = initHostData(W);
+  computeReference(W, Ref);
+  std::vector<std::vector<std::byte>> Results;
+  for (size_t R : W.ResultBuffers)
+    Results.push_back(Ref[R]);
+  double Err = -1;
+  EXPECT_TRUE(matchesReference(W, Ref, Results, &Err));
+  EXPECT_EQ(Err, 0);
+
+  // Move one float of the second result: within 1e-5 + 1e-5 * |want| it
+  // still matches, beyond it the check fails, and MaxAbsError reports the
+  // move either way.
+  float *Got = reinterpret_cast<float *>(Results[1].data());
+  const float Want = Got[7];
+  const double Tol = 1e-5 + 1e-5 * std::fabs(Want);
+  Got[7] = static_cast<float>(Want + 0.5 * Tol);
+  EXPECT_TRUE(matchesReference(W, Ref, Results, &Err));
+  EXPECT_DOUBLE_EQ(Err, static_cast<double>(Got[7]) - Want);
+  EXPECT_LT(Err, Tol);
+  Got[7] = static_cast<float>(Want + 2 * Tol);
+  EXPECT_FALSE(matchesReference(W, Ref, Results, &Err));
+  EXPECT_DOUBLE_EQ(Err, static_cast<double>(Got[7]) - Want);
+  EXPECT_GT(Err, Tol);
+  EXPECT_FALSE(matchesReference(W, Ref, Results));
+  Got[7] = std::nanf("");
+  EXPECT_FALSE(matchesReference(W, Ref, Results));
+}
+
+TEST(RuntimeTableTest, ListsEveryKindOnceInEnumOrder) {
+  const std::vector<NamedRuntime> &Kinds = runtimeKinds();
+  ASSERT_EQ(Kinds.size(), static_cast<size_t>(RuntimeKind::FluidiCL) + 1);
+  const std::vector<std::string> ToolNames = {
+      "cpu", "gpu", "static", "socl-eager", "socl-dmda", "fluidicl"};
+  std::set<std::string> Seen;
+  for (size_t I = 0; I < Kinds.size(); ++I) {
+    EXPECT_EQ(static_cast<size_t>(Kinds[I].Kind), I) << Kinds[I].Name;
+    EXPECT_EQ(Kinds[I].Name, ToolNames[I]);
+    EXPECT_TRUE(Seen.insert(Kinds[I].Name).second) << Kinds[I].Name;
+  }
+}
+
+TEST(RuntimeTableTest, TimeUnderEqualsReportWallForEveryKind) {
+  Workload W = makeBicg(256, 256);
+  RunConfig C;
+  C.GpuFraction = 0.3;
+  for (const NamedRuntime &R : runtimeKinds()) {
+    stats::RunReport Rep = reportUnder(R.Kind, W, C);
+    EXPECT_EQ(timeUnder(R.Kind, W, C).nanos(), Rep.Wall.nanos()) << R.Name;
+    if (R.Kind == RuntimeKind::Static) {
+      EXPECT_EQ(Rep.RuntimeName, "Static30");
+    }
+  }
 }
 
 TEST(DriverTest, OracleBestFractionSensible) {

@@ -9,6 +9,8 @@
 #include "prof/Profiler.h"
 #include "support/Format.h"
 
+#include <climits>
+
 using namespace fcl;
 
 TierOptions::TierOptions(const char *Tool, const char *Summary,
@@ -69,6 +71,15 @@ int TierOptions::usageError(const std::string &Msg) {
   return 1;
 }
 
+std::optional<int> TierOptions::intOption(const char *Name, int &Out) {
+  int64_t V = Args.i64(Name);
+  if (V < INT_MIN || V > INT_MAX)
+    return usageError(formatString("--%s is out of range (got %s)", Name,
+                                   Args.str(Name).c_str()));
+  Out = static_cast<int>(V);
+  return std::nullopt;
+}
+
 std::optional<int> TierOptions::parse(int Argc, char **Argv,
                                       serve::EngineConfig &Cfg) {
   if (!Args.parse(Argc - 1, Argv + 1)) {
@@ -79,9 +90,11 @@ std::optional<int> TierOptions::parse(int Argc, char **Argv,
     std::printf("%s", Args.helpText().c_str());
     return 0;
   }
-  Cfg.Streams = static_cast<int>(Args.i64("streams"));
+  if (std::optional<int> Status = intOption("streams", Cfg.Streams))
+    return Status;
   Cfg.Seed = static_cast<uint64_t>(Args.i64("seed"));
-  Cfg.QueueDepth = static_cast<int>(Args.i64("queue-depth"));
+  if (std::optional<int> Status = intOption("queue-depth", Cfg.QueueDepth))
+    return Status;
   Cfg.LargeThreshold = static_cast<uint64_t>(Args.i64("threshold"));
   Cfg.Horizon = signedSeconds(Args.f64("duration"));
   Cfg.SloMs = Args.f64("slo-ms");

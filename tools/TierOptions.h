@@ -56,6 +56,10 @@ public:
   /// Prints "error: <Msg>" as one stderr line; returns the usage status.
   static int usageError(const std::string &Msg);
 
+  /// Narrows int option \p Name into \p Out, or returns the usage status
+  /// after an error quoting a value a cast would wrap.
+  std::optional<int> intOption(const char *Name, int &Out);
+
   /// Ends a run: prints \p R and the --prof table, writes the outputs and
   /// returns the exit status.
   template <class Report> int finish(const Report &R) {

@@ -19,7 +19,7 @@ endforeach()
 
 # Keeps each run short should a bad value ever be accepted.
 set(SIM_ARGS --workload=syrk --size=64)
-set(CHECK_ARGS)
+set(CHECK_ARGS --no-runtimes)
 set(SERVE_ARGS --streams=2 --duration=0.01)
 set(CLUSTER_ARGS --workers=2 --streams=2 --duration=0.01)
 
@@ -72,6 +72,19 @@ expect_error(range "${TIERS}" "--slo-ms must be >= 0" --slo-ms=-1)
 expect_error(range "${TIERS}" "needs a rate in" --arrival=poisson:1e-12)
 expect_error(range "${TIERS}" "needs a rate in" --arrival=uniform:1e-12)
 expect_error(range CLUSTER "--workers must be in" --workers=0)
+# Counts beyond an int, which a cast wraps (4294967297 streams ran as 1).
+expect_error(range "${TIERS}" "--streams is out of range \\(got 4294967297\\)"
+             --streams=4294967297)
+expect_error(range "${TIERS}" "--streams is out of range \\(got 3e9\\)"
+             --streams=3e9)
+expect_error(range "${TIERS}" "--queue-depth is out of range \\(got 1e12\\)"
+             --queue-depth=1e12)
+expect_error(range CLUSTER "--workers is out of range \\(got 4294967298\\)"
+             --workers=4294967298)
+expect_error(range CLUSTER "--workers is out of range \\(got 1e10\\)"
+             --workers=1e10)
+expect_error(range CHECK "--budget must be >= 1 \\(got -1\\)" --budget=-1)
+expect_error(range CHECK "--budget must be >= 1 \\(got 0\\)" --budget=0)
 expect_error(range CLUSTER "--quantum-ms must be > 0" --quantum-ms=0)
 expect_error(range CLUSTER "--link-us must be >= 0" --link-us=-5)
 # Junk numbers: every option with a numeric default takes one complete,
@@ -98,5 +111,7 @@ expect_error(range SIM "--cpu-load must be > 0" --cpu-load=-1)
 expect_error(range SIM "--gpu-load must be > 0" --gpu-load=0)
 expect_error(range SIM "unknown --runtime 'bogus'" --runtime=bogus)
 expect_error(range SIM "unknown --workload 'bogus'" --workload=bogus)
+# SIM_ARGS carries --size=64, which a suite would silently ignore.
+expect_error(range SIM "--workload=paper takes no --size" --workload=paper)
 
 message(STATUS "every tool rejects every bad ${ROWS} value it takes cleanly")

@@ -30,9 +30,6 @@
 #include "fluidicl/Runtime.h"
 #include "race/Bridge.h"
 #include "race/Fixtures.h"
-#include "runtime/SingleDevice.h"
-#include "runtime/StaticPartition.h"
-#include "socl/SoclRuntime.h"
 #include "support/ArgParser.h"
 #include "work/Driver.h"
 
@@ -66,16 +63,16 @@ int runFixtureSweep() {
   return Mismatches;
 }
 
-/// Replays the coverage suite functionally under one runtime on the given
-/// machine; returns the number of failures (failed validation or failing
+/// Replays the coverage suite functionally under runtime \p R with \p C;
+/// returns the number of failures (failed validation or failing
 /// diagnostics).
-int runCoverageUnder(const std::string &Name, const hw::Machine &M) {
+int runCoverageUnder(const work::NamedRuntime &R, const work::RunConfig &C) {
   int Failures = 0;
   for (const work::Workload &W : check::coverageWorkloads()) {
     // A static partition splits every kernel blindly, which is unsound for
     // atomics kernels (the very hazard the analyzer classifies; FluidiCL
     // handles it with the GPU-only fallback). Skip those combinations.
-    if (Name == "static") {
+    if (R.Kind == work::RuntimeKind::Static) {
       bool HasAtomics = false;
       for (const work::KernelCall &Call : W.Calls)
         if (const kern::KernelInfo *Info =
@@ -84,44 +81,28 @@ int runCoverageUnder(const std::string &Name, const hw::Machine &M) {
       if (HasAtomics) {
         std::printf("  %-10s %-24s skipped (atomics are unsound under "
                     "static partitioning)\n",
-                    Name.c_str(), W.Name.c_str());
+                    R.Name, W.Name.c_str());
         continue;
       }
     }
-    mcl::Context Ctx(M, mcl::ExecMode::Functional);
+    mcl::Context Ctx(C.M, C.Mode);
     work::RunResult Res;
     bool Failing = false;
-    if (Name == "cpu") {
-      runtime::SingleDeviceRuntime RT(Ctx, mcl::DeviceKind::Cpu);
+    work::withRuntime(R.Kind, Ctx, W, C, [&](runtime::HeteroRuntime &RT) {
       Res = work::runWorkload(RT, W, true);
-    } else if (Name == "gpu") {
-      runtime::SingleDeviceRuntime RT(Ctx, mcl::DeviceKind::Gpu);
-      Res = work::runWorkload(RT, W, true);
-    } else if (Name == "static") {
-      runtime::StaticPartitionRuntime RT(Ctx, 0.5);
-      Res = work::runWorkload(RT, W, true);
-    } else if (Name == "socl-eager") {
-      socl::PerfModel Model;
-      socl::SoclRuntime RT(Ctx, socl::Policy::Eager, Model);
-      Res = work::runWorkload(RT, W, true);
-    } else if (Name == "fluidicl") {
-      fluidicl::Options Opts;
-      Opts.Check = check::Policy::Fail;
-      fluidicl::Runtime RT(Ctx, Opts);
-      Res = work::runWorkload(RT, W, true);
-      RT.finish();
-      if (!RT.diagSink().diags().empty())
-        std::printf("%s", RT.diagSink().renderAll().c_str());
-      Failing = RT.diagSink().shouldFail();
-    }
-    bool Bad = Failing || (Res.Validated && !Res.Valid);
-    if (Bad) {
+      if (auto *Fcl = dynamic_cast<fluidicl::Runtime *>(&RT)) {
+        if (!Fcl->diagSink().diags().empty())
+          std::printf("%s", Fcl->diagSink().renderAll().c_str());
+        Failing = Fcl->diagSink().shouldFail();
+      }
+    });
+    if (Failing || (Res.Validated && !Res.Valid)) {
       ++Failures;
-      std::printf("  %-10s %-24s FAILED%s\n", Name.c_str(), W.Name.c_str(),
+      std::printf("  %-10s %-24s FAILED%s\n", R.Name, W.Name.c_str(),
                   Failing ? " (check diagnostics)" : " (validation)");
     }
   }
-  std::printf("  %-10s %s\n", Name.c_str(),
+  std::printf("  %-10s %s\n", R.Name,
               Failures == 0 ? "all workloads clean" : "FAILURES");
   return Failures;
 }
@@ -154,10 +135,17 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  hw::Machine M;
-  if (!hw::machineByName(Args.str("machine"), M)) {
+  work::RunConfig Replay; // Static splits at RunConfig's default 50%.
+  Replay.Mode = mcl::ExecMode::Functional;
+  Replay.FclOpts.Check = check::Policy::Fail;
+  if (!hw::machineByName(Args.str("machine"), Replay.M)) {
     std::fprintf(stderr, "error: unknown --machine '%s' (expected %s)\n",
                  Args.str("machine").c_str(), hw::machineNames());
+    return 1;
+  }
+  if (Args.i64("budget") < 1) {
+    std::fprintf(stderr, "error: --budget must be >= 1 (got %s)\n",
+                 Args.str("budget").c_str());
     return 1;
   }
 
@@ -188,8 +176,11 @@ int main(int Argc, char **Argv) {
   if (!Args.flag("no-runtimes")) {
     std::printf("\nfunctional cross-runtime replay:\n");
     race::armAnalyzer(RacesPol);
-    for (const char *R : {"cpu", "gpu", "static", "socl-eager", "fluidicl"})
-      RuntimeFailures += runCoverageUnder(R, M);
+    // SOCL-dmda places whole tasks like SOCL-eager and would add ten
+    // calibration runs per workload.
+    for (const work::NamedRuntime &R : work::runtimeKinds())
+      if (R.Kind != work::RuntimeKind::SoclDmda)
+        RuntimeFailures += runCoverageUnder(R, Replay);
   }
 
   bool RacesFailed = false;

@@ -44,7 +44,8 @@ int main(int Argc, char **Argv) {
   cluster::ClusterConfig Cfg;
   if (std::optional<int> Status = Opts.parse(Argc, Argv, Cfg.Worker))
     return *Status;
-  Cfg.Workers = static_cast<int>(Args.i64("workers"));
+  if (std::optional<int> Status = Opts.intOption("workers", Cfg.Workers))
+    return *Status;
   if (!cluster::parsePlacement(Args.str("placement"), Cfg.Place))
     return TierOptions::usageError(
         formatString("unknown --placement '%s' (hash|least|size)",

@@ -20,20 +20,14 @@
 #include "fluidicl/Runtime.h"
 #include "prof/Profiler.h"
 #include "race/Bridge.h"
-#include "runtime/SingleDevice.h"
-#include "runtime/StaticPartition.h"
-#include "socl/SoclRuntime.h"
 #include "support/ArgParser.h"
 #include "support/Csv.h"
-#include "support/Error.h"
 #include "support/Format.h"
 #include "support/Table.h"
 #include "trace/Tracer.h"
 #include "work/Driver.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <memory>
 
 using namespace fcl;
 using namespace fcl::work;
@@ -68,17 +62,10 @@ std::vector<Workload> selectWorkloads(const std::string &Name, int64_t Size) {
   return {};
 }
 
-/// The runtimes --runtime names; "all" runs every one of them.
-const std::vector<std::string> AllRuntimes = {
-    "cpu", "gpu", "static", "socl-eager", "socl-dmda", "fluidicl"};
-
 struct ToolConfig {
-  hw::Machine M;
-  mcl::ExecMode Mode = mcl::ExecMode::TimingOnly;
-  fluidicl::Options FclOpts;
+  RunConfig Run;
   /// --size: 0 keeps each workload's default size.
   int64_t Size = 0;
-  double GpuFraction = 0.5;
   std::string TracePath;
   /// --stats / --stats-json / --stats-csv.
   bool PrintStats = false;
@@ -97,25 +84,25 @@ struct ToolConfig {
       return formatString("--size must be 0 or a positive multiple of 32 "
                           "(got %lld)",
                           static_cast<long long>(Size));
-    if (!(GpuFraction >= 0 && GpuFraction <= 1))
+    if (!(Run.GpuFraction >= 0 && Run.GpuFraction <= 1))
       return formatString("--gpu-fraction must be in [0, 1] (got %g)",
-                          GpuFraction);
-    if (!(M.CpuLoadFactor > 0))
+                          Run.GpuFraction);
+    if (!(Run.M.CpuLoadFactor > 0))
       return formatString("--cpu-load must be > 0 (got %g)",
-                          M.CpuLoadFactor);
-    if (!(M.GpuLoadFactor > 0))
+                          Run.M.CpuLoadFactor);
+    if (!(Run.M.GpuLoadFactor > 0))
       return formatString("--gpu-load must be > 0 (got %g)",
-                          M.GpuLoadFactor);
-    return FclOpts.validate();
+                          Run.M.GpuLoadFactor);
+    return Run.FclOpts.validate();
   }
 };
 
-/// Runs one workload under one of AllRuntimes; returns the result. When
-/// stats are requested the run's report is appended to \p Reports.
-RunResult runOne(const std::string &Runtime, const Workload &W,
-                 const ToolConfig &Cfg, bool Validate,
-                 std::vector<stats::RunReport> &Reports, bool &CheckFailed) {
-  mcl::Context Ctx(Cfg.M, Cfg.Mode);
+/// Runs one workload under runtime \p K; returns the result. When stats
+/// are requested the run's report is appended to \p Reports.
+RunResult runOne(RuntimeKind K, const Workload &W, const ToolConfig &Cfg,
+                 bool Validate, std::vector<stats::RunReport> &Reports,
+                 bool &CheckFailed) {
+  mcl::Context Ctx(Cfg.Run.M, Cfg.Run.Mode);
   trace::Tracer Tracer;
   // Stats need the tracer too: per-device utilization is derived from the
   // recorded lanes.
@@ -124,60 +111,29 @@ RunResult runOne(const std::string &Runtime, const Workload &W,
     Ctx.setTracer(&Tracer);
 
   RunResult Res;
-  auto Collect = [&](const runtime::HeteroRuntime &RT) {
+  withRuntime(K, Ctx, W, Cfg.Run, [&](runtime::HeteroRuntime &RT) {
+    Res = runWorkload(RT, W, Validate);
+    if (auto *Fcl = dynamic_cast<fluidicl::Runtime *>(&RT)) {
+      const check::DiagSink &Diags = Fcl->diagSink();
+      if (Diags.enabled() && !Diags.diags().empty())
+        std::printf("%s", Diags.renderAll().c_str());
+      if (Diags.shouldFail())
+        CheckFailed = true;
+      for (const fluidicl::KernelStats &S : Fcl->kernelStats())
+        std::printf("    %-22s cpu %6llu / gpu %6llu of %6llu groups, "
+                    "%llu subkernels, chunk -> %.0f%%%s\n",
+                    S.KernelName.c_str(),
+                    static_cast<unsigned long long>(S.CpuGroupsExecuted),
+                    static_cast<unsigned long long>(S.GpuGroupsExecuted),
+                    static_cast<unsigned long long>(S.TotalGroups),
+                    static_cast<unsigned long long>(S.CpuSubkernels),
+                    S.FinalChunkPct,
+                    S.CpuRanEverything ? " (CPU ran everything)" : "");
+    }
     if (Cfg.statsWanted())
       Reports.push_back(collectRunReport(RT, W, Res.Total,
                                          UseTracer ? &Tracer : nullptr));
-  };
-  if (Runtime == "cpu") {
-    runtime::SingleDeviceRuntime RT(Ctx, mcl::DeviceKind::Cpu);
-    Res = runWorkload(RT, W, Validate);
-    Collect(RT);
-  } else if (Runtime == "gpu") {
-    runtime::SingleDeviceRuntime RT(Ctx, mcl::DeviceKind::Gpu);
-    Res = runWorkload(RT, W, Validate);
-    Collect(RT);
-  } else if (Runtime == "static") {
-    runtime::StaticPartitionRuntime RT(Ctx, Cfg.GpuFraction);
-    Res = runWorkload(RT, W, Validate);
-    Collect(RT);
-  } else if (Runtime == "socl-eager") {
-    socl::PerfModel Model;
-    socl::SoclRuntime RT(Ctx, socl::Policy::Eager, Model);
-    Res = runWorkload(RT, W, Validate);
-    Collect(RT);
-  } else if (Runtime == "socl-dmda") {
-    socl::PerfModel Model;
-    for (int I = 0; I < 10; ++I) {
-      mcl::Context CalCtx(Cfg.M, Cfg.Mode);
-      socl::SoclRuntime Cal(CalCtx, socl::Policy::Dmda, Model, true,
-                            static_cast<uint64_t>(I));
-      runWorkload(Cal, W, false);
-    }
-    socl::SoclRuntime RT(Ctx, socl::Policy::Dmda, Model);
-    Res = runWorkload(RT, W, Validate);
-    Collect(RT);
-  } else {
-    FCL_CHECK(Runtime == "fluidicl", "runtime name not in AllRuntimes");
-    fluidicl::Runtime RT(Ctx, Cfg.FclOpts);
-    Res = runWorkload(RT, W, Validate);
-    const check::DiagSink &Diags = RT.diagSink();
-    if (Diags.enabled() && !Diags.diags().empty())
-      std::printf("%s", Diags.renderAll().c_str());
-    if (Diags.shouldFail())
-      CheckFailed = true;
-    for (const fluidicl::KernelStats &S : RT.kernelStats())
-      std::printf("    %-22s cpu %6llu / gpu %6llu of %6llu groups, "
-                  "%llu subkernels, chunk -> %.0f%%%s\n",
-                  S.KernelName.c_str(),
-                  static_cast<unsigned long long>(S.CpuGroupsExecuted),
-                  static_cast<unsigned long long>(S.GpuGroupsExecuted),
-                  static_cast<unsigned long long>(S.TotalGroups),
-                  static_cast<unsigned long long>(S.CpuSubkernels),
-                  S.FinalChunkPct,
-                  S.CpuRanEverything ? " (CPU ran everything)" : "");
-    Collect(RT);
-  }
+  });
 
   if (Cfg.PrintStats && !Reports.empty())
     Reports.back().printSummary();
@@ -254,26 +210,27 @@ int main(int Argc, char **Argv) {
   }
 
   ToolConfig Cfg;
-  if (!hw::machineByName(Args.str("machine"), Cfg.M)) {
+  RunConfig &Run = Cfg.Run;
+  if (!hw::machineByName(Args.str("machine"), Run.M)) {
     std::fprintf(stderr, "error: unknown --machine '%s' (expected %s)\n",
                  Args.str("machine").c_str(), hw::machineNames());
     return 1;
   }
-  Cfg.M.CpuLoadFactor = Args.f64("cpu-load");
-  Cfg.M.GpuLoadFactor = Args.f64("gpu-load");
-  Cfg.Mode = Args.flag("functional") ? mcl::ExecMode::Functional
+  Run.M.CpuLoadFactor = Args.f64("cpu-load");
+  Run.M.GpuLoadFactor = Args.f64("gpu-load");
+  Run.Mode = Args.flag("functional") ? mcl::ExecMode::Functional
                                      : mcl::ExecMode::TimingOnly;
   Cfg.Size = Args.i64("size");
-  Cfg.GpuFraction = Args.f64("gpu-fraction");
-  Cfg.FclOpts.InitialChunkPct = Args.f64("chunk");
-  Cfg.FclOpts.StepPct = Args.f64("step");
+  Run.GpuFraction = Args.f64("gpu-fraction");
+  Run.FclOpts.InitialChunkPct = Args.f64("chunk");
+  Run.FclOpts.StepPct = Args.f64("step");
   if (Args.flag("no-abort-in-loops"))
-    Cfg.FclOpts.AbortPolicy = hw::AbortPolicyKind::AtStart;
-  Cfg.FclOpts.LoopUnroll = !Args.flag("no-unroll");
-  Cfg.FclOpts.CpuWorkGroupSplit = !Args.flag("no-split");
-  Cfg.FclOpts.BufferPool = !Args.flag("no-pool");
-  Cfg.FclOpts.DataLocationTracking = !Args.flag("no-location");
-  Cfg.FclOpts.OnlineProfiling = Args.flag("profiling");
+    Run.FclOpts.AbortPolicy = hw::AbortPolicyKind::AtStart;
+  Run.FclOpts.LoopUnroll = !Args.flag("no-unroll");
+  Run.FclOpts.CpuWorkGroupSplit = !Args.flag("no-split");
+  Run.FclOpts.BufferPool = !Args.flag("no-pool");
+  Run.FclOpts.DataLocationTracking = !Args.flag("no-location");
+  Run.FclOpts.OnlineProfiling = Args.flag("profiling");
   Cfg.TracePath = Args.str("trace");
   Cfg.PrintStats = Args.flag("stats");
   Cfg.StatsJsonPath = Args.str("stats-json");
@@ -284,7 +241,7 @@ int main(int Argc, char **Argv) {
                  Args.str("check").c_str());
     return 1;
   }
-  Cfg.FclOpts.Check = CheckPol;
+  Run.FclOpts.Check = CheckPol;
   check::Policy RacesPol = check::Policy::Off;
   if (!check::parsePolicy(Args.str("races"), RacesPol)) {
     std::fprintf(stderr, "error: bad --races value '%s' (off|warn|fail)\n",
@@ -295,17 +252,23 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: %s\n", Invalid.c_str());
     return 1;
   }
-  std::vector<std::string> Runtimes = AllRuntimes;
-  if (Args.str("runtime") != "all") {
-    Runtimes = {Args.str("runtime")};
-    if (std::find(AllRuntimes.begin(), AllRuntimes.end(), Runtimes[0]) ==
-        AllRuntimes.end()) {
-      std::fprintf(stderr,
-                   "error: unknown --runtime '%s' (cpu|gpu|static|"
-                   "socl-eager|socl-dmda|fluidicl|all)\n",
-                   Runtimes[0].c_str());
-      return 1;
-    }
+  const std::string &Suite = Args.str("workload");
+  if (Cfg.Size != 0 && (Suite == "paper" || Suite == "extended")) {
+    std::fprintf(stderr,
+                 "error: --workload=%s takes no --size (got --size=%lld)\n",
+                 Suite.c_str(), static_cast<long long>(Cfg.Size));
+    return 1;
+  }
+  std::vector<NamedRuntime> Runtimes;
+  for (const NamedRuntime &R : runtimeKinds())
+    if (Args.str("runtime") == "all" || Args.str("runtime") == R.Name)
+      Runtimes.push_back(R);
+  if (Runtimes.empty()) {
+    std::fprintf(stderr,
+                 "error: unknown --runtime '%s' (cpu|gpu|static|"
+                 "socl-eager|socl-dmda|fluidicl|all)\n",
+                 Args.str("runtime").c_str());
+    return 1;
   }
 
   if (Args.flag("prof"))
@@ -349,15 +312,15 @@ int main(int Argc, char **Argv) {
   for (const Workload &W : Loads) {
     std::printf("== %s - %s\n", W.Name.c_str(), W.Summary.c_str());
     Table T({"runtime", "total (s)", Validate ? "validated" : ""});
-    for (const std::string &R : Runtimes) {
-      RunResult Res = runOne(R, W, Cfg, Validate, Reports, CheckFailed);
+    for (const NamedRuntime &R : Runtimes) {
+      RunResult Res = runOne(R.Kind, W, Cfg, Validate, Reports, CheckFailed);
       std::string Check;
       if (Res.Validated) {
         Check = Res.Valid ? "ok" : "FAILED";
         if (!Res.Valid)
           AnyInvalid = true;
       }
-      T.addRow({R, formatString("%.6f", Res.Total.toSeconds()), Check});
+      T.addRow({R.Name, formatString("%.6f", Res.Total.toSeconds()), Check});
     }
     T.print();
     std::printf("\n");
