@@ -22,9 +22,10 @@ using namespace fcl;
 using namespace fcl::dag;
 
 DagJobExec::DagJobExec(mcl::Context &Ctx, const work::Workload &W,
-                       const Graph &G, Placement Place, bool Validate,
-                       DagStats *Stats, trace::Tracer *Trace)
-    : JobExec(Ctx, W, Validate), G(G), Place(Place), Stats(Stats),
+                       const Graph &G, Placement Place,
+                       serve::HostReference *Reference, DagStats *Stats,
+                       trace::Tracer *Trace)
+    : JobExec(Ctx, W, Reference), G(G), Place(Place), Stats(Stats),
       Trace(Trace), Res(W.Buffers.size()) {
   FCL_CHECK(G.size() == W.Calls.size(), "graph does not describe workload");
   static std::atomic<uint64_t> NextRaceId{0};
@@ -37,10 +38,8 @@ DagJobExec::~DagJobExec() = default;
 void DagJobExec::start(DoneFn Done) {
   OnDone = std::move(Done);
   bool Functional = Ctx.functional();
-  if (Functional) {
+  if (Functional)
     Stage = work::initHostData(W);
-    Host = Stage;
-  }
   Qs[GpuIdx] = Ctx.createQueue(Ctx.gpu(), "dag-gpu");
   Qs[CpuIdx] = Ctx.createQueue(Ctx.cpu(), "dag-cpu");
   Bufs.resize(W.Buffers.size());

@@ -49,11 +49,14 @@ public:
   /// (optional) accumulates transfer/node accounting across jobs; \p Trace
   /// (optional) gets one "Serve DAG" slice per node.
   DagJobExec(mcl::Context &Ctx, const work::Workload &W, const Graph &G,
-             Placement Place, bool Validate, DagStats *Stats,
-             trace::Tracer *Trace);
+             Placement Place, serve::HostReference *Reference,
+             DagStats *Stats, trace::Tracer *Trace);
   ~DagJobExec() override;
 
   void start(DoneFn OnDone) override;
+  bool quiescent() const override {
+    return Qs[GpuIdx]->idle() && Qs[CpuIdx]->idle();
+  }
 
 private:
   static constexpr size_t GpuIdx = 0;
@@ -91,8 +94,7 @@ private:
   /// One lazily-created device buffer per workload buffer per device.
   std::vector<std::array<std::unique_ptr<mcl::Buffer>, 2>> Bufs;
   /// Host-side transfer medium: uploads source from it, fetches and final
-  /// reads land in it. JobExec::Host keeps the pristine initial data aside
-  /// for validation, since the host reference runs in place.
+  /// reads land in it.
   std::vector<std::vector<std::byte>> Stage; // Functional mode only.
 
   ResidencyTracker Res;

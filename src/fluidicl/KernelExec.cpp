@@ -24,7 +24,7 @@ KernelExec::KernelExec(Runtime &RT, const kern::KernelInfo &Kernel,
                        const std::vector<runtime::KArg> &Args)
     : RT(RT), Kernel(Kernel), Range(Range), Args(Args),
       KernelId(++RT.NextKernelId), TotalGroups(Range.totalGroups()),
-      GpuVisibleBoundary(std::make_shared<uint64_t>(Range.totalGroups())),
+      Status(std::make_shared<mcl::StatusWord>(Range.totalGroups())),
       CpuLow(Range.totalGroups()),
       Chunks(Range.totalGroups(), RT.Ctx.machine().Cpu.ComputeUnits,
              RT.Opts.InitialChunkPct, RT.Opts.StepPct) {
@@ -143,8 +143,7 @@ void KernelExec::launchGpuKernel() {
   if (CooperativeAllowed) {
     Desc.Abort.Kind = RT.Opts.AbortPolicy;
     Desc.Abort.Unroll = RT.Opts.LoopUnroll;
-    std::shared_ptr<uint64_t> Boundary = GpuVisibleBoundary;
-    Desc.AbortBoundary = [Boundary] { return *Boundary; };
+    Desc.Status = Status;
     GpuCounters = std::make_shared<mcl::LaunchCounters>();
     Desc.Counters = GpuCounters;
   }
@@ -183,17 +182,17 @@ void KernelExec::enqueueMerges() {
     Stats.GpuGroupsCompleted = 0;
     Stats.CpuGroupsCompleted = TotalGroups;
   } else {
-    uint64_t Boundary = CooperativeAllowed ? *GpuVisibleBoundary : TotalGroups;
+    uint64_t Boundary = CooperativeAllowed ? Status->value() : TotalGroups;
     Stats.GpuGroupsCompleted = Boundary;
     Stats.CpuGroupsCompleted = TotalGroups - Boundary;
     // CPU work completed whose data had not reached the GPU in time:
     // executed, then thrown away.
     Stats.CpuGroupsWasted += Boundary - CpuLow;
   }
-  bool AnyCpuData = *GpuVisibleBoundary < TotalGroups;
+  bool AnyCpuData = Status->value() < TotalGroups;
   if (check::ProtocolChecker *PC = RT.protocolChecker())
     PC->onMergeSet(KernelId,
-                   CooperativeAllowed ? *GpuVisibleBoundary : TotalGroups,
+                   CooperativeAllowed ? Status->value() : TotalGroups,
                    CpuRanAll, AnyCpuData && !Outs.empty());
   if (!AnyCpuData || Outs.empty() || !CooperativeAllowed) {
     mergesDone();
@@ -201,7 +200,7 @@ void KernelExec::enqueueMerges() {
   }
   FCL_LOG_DEBUG("fcl kernel %llu: merging %zu buffers (boundary %llu)",
                 static_cast<unsigned long long>(KernelId), Outs.size(),
-                static_cast<unsigned long long>(*GpuVisibleBoundary));
+                static_cast<unsigned long long>(Status->value()));
   const kern::KernelInfo &Merge =
       kern::Registry::builtin().get("md_merge_kernel");
   MergesPending = static_cast<int>(Outs.size());
@@ -418,14 +417,12 @@ void KernelExec::sendCpuDataAndStatus(uint64_t Boundary, uint64_t Begin,
   mcl::EventPtr StatusDone =
       RT.HdQueue->enqueueWrite(*RT.StatusBuf, nullptr, 8);
   Stats.StatusBytesSent += 8;
-  std::shared_ptr<uint64_t> BoundaryWord = GpuVisibleBoundary;
   auto Self = shared_from_this();
-  StatusDone->onComplete([Self, BoundaryWord, Boundary, StatusDone] {
+  StatusDone->onComplete([Self, Boundary, StatusDone] {
     race::Section RaceS(Self->RT.RaceSec);
     if (check::ProtocolChecker *PC = Self->RT.protocolChecker())
       PC->onStatusCommit(Self->KernelId, Boundary);
-    if (Boundary < *BoundaryWord)
-      *BoundaryWord = Boundary;
+    Self->Status->lower(Boundary);
     if (Self->LastHdEvent == StatusDone) {
       Self->HdDrained = true;
       if (Self->MergePhaseStarted)

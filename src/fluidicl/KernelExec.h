@@ -92,8 +92,9 @@ private:
   bool CooperativeAllowed = false;     // UseCpu and no atomics (section 7).
   bool UseRegionTransfers = false;     // Extension: band transfers.
 
-  // Shared dynamic state between the two sides.
-  std::shared_ptr<uint64_t> GpuVisibleBoundary;
+  // Shared dynamic state between the two sides. The status word the GPU
+  // launch watches: the lowest work-group whose CPU data has arrived.
+  std::shared_ptr<mcl::StatusWord> Status;
   uint64_t CpuLow;       // Lowest flat ID assigned to the CPU so far.
   bool CpuRanAll = false;
   bool GpuDone = false;

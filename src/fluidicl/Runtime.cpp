@@ -209,6 +209,21 @@ void Runtime::finish() {
     Checker->onRunFinish(Pool.inUseCount());
 }
 
+bool Runtime::quiescent() const {
+  if (!GpuAppQueue->idle() || !CpuQueue->idle() || !HdQueue->idle() ||
+      !DhQueue->idle())
+    return false;
+  for (const mcl::EventPtr &E : PendingDh)
+    if (!E->isComplete())
+      return false;
+  // Execs holds one reference to each; any other lives in a pending event
+  // or callback that will still run the execution's code.
+  for (const std::shared_ptr<KernelExec> &E : Execs)
+    if (E.use_count() > 1)
+      return false;
+  return true;
+}
+
 std::vector<KernelStats> Runtime::kernelStats() const {
   std::vector<KernelStats> Out;
   Out.reserve(Execs.size());

@@ -98,6 +98,12 @@ public:
 
   const Options &options() const { return Opts; }
 
+  /// True when every queue is idle, no DH transfer is pending and no
+  /// kernel execution is referenced from a pending event or callback:
+  /// nothing of this runtime is left in flight, so finish() drains nothing
+  /// and destroying the runtime cuts nothing short.
+  bool quiescent() const;
+
   /// Diagnostic sink of the check subsystem (Options::Check controls
   /// whether it collects anything). The OpenCL shim's lint layer and the
   /// ProtocolChecker both report here.

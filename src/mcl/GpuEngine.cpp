@@ -73,9 +73,14 @@ Duration GpuEngine::launchDuration(const LaunchDesc &Desc) const {
 
 /// Event-driven execution state of one GPU kernel launch. Waves of
 /// work-groups run back to back; each wave is divided into checkpoint
-/// segments (1 segment unless in-loop aborts are enabled); at each segment
-/// boundary the CPU-completion boundary is re-read and covered work-groups
-/// abort, shortening the remainder of the wave.
+/// segments (1 segment unless in-loop aborts are enabled) and has one
+/// pending event, at its last checkpoint. With in-loop checks the run
+/// watches the CPU status word instead of polling it: a lowering that cuts
+/// the wave's live work-groups moves the event to the first checkpoint the
+/// wave has not yet passed at or after the lowering, where the covered
+/// work-groups abort and the rest of the wave is re-timed. The superseded
+/// event stays queued and does nothing when it fires, because it carries
+/// an older generation.
 struct GpuEngine::Run : std::enable_shared_from_this<GpuEngine::Run> {
   GpuEngine *Eng = nullptr;
   LaunchDesc Desc;
@@ -86,22 +91,40 @@ struct GpuEngine::Run : std::enable_shared_from_this<GpuEngine::Run> {
   uint64_t NextWg = 0;
   uint64_t Executed = 0;
 
-  // In-flight wave state.
+  // In-flight wave state (all zero before the first wave).
   uint64_t WaveBegin = 0;
   uint64_t WaveEnd = 0;
   uint64_t Live = 0; // Work-groups still executing in the wave.
-  int Checkpoint = 0;
   int NumCheckpoints = 1;
+  /// The last checkpoint the wave passed (0 = wave start), and when.
+  int Checkpoint = 0;
+  TimePoint CheckpointAt;
+  /// Length of each remaining segment for the current Live.
+  Duration Segment;
+  /// Checkpoint of the one live pending event, and its generation.
+  int EventCheckpoint = 0;
+  uint64_t Gen = 0;
 
   /// Smallest flat ID the GPU must still execute up to (exclusive): the
-  /// NDRange end, lowered by the CPU-completion boundary when one is wired.
+  /// NDRange end, lowered by the CPU status word when one is wired.
   uint64_t currentLimit() const {
     uint64_t Limit = RangeEnd;
-    if (Desc.AbortBoundary && Desc.Abort.Kind != hw::AbortPolicyKind::None) {
-      uint64_t B = Desc.AbortBoundary();
-      Limit = std::min(Limit, B);
-    }
+    if (Desc.Status && Desc.Abort.Kind != hw::AbortPolicyKind::None)
+      Limit = std::min(Limit, Desc.Status->value());
     return std::max(Limit, Desc.clampedBegin());
+  }
+
+  /// Work-groups of the in-flight wave the status word leaves alive.
+  uint64_t liveUnderLimit() const {
+    uint64_t Limit = currentLimit();
+    if (Limit >= WaveEnd)
+      return WaveEnd - WaveBegin;
+    return Limit > WaveBegin ? Limit - WaveBegin : 0;
+  }
+
+  /// True when in-loop checks re-read a status word mid-wave.
+  bool watchesStatus() const {
+    return Desc.Status && Desc.Abort.Kind == hw::AbortPolicyKind::InLoop;
   }
 
   /// Occupancy counter track: live work-groups on the device right now.
@@ -112,6 +135,11 @@ struct GpuEngine::Run : std::enable_shared_from_this<GpuEngine::Run> {
   }
 
   void start() {
+    if (watchesStatus())
+      Desc.Status->watch([Weak = weak_from_this()] {
+        if (auto Self = Weak.lock())
+          Self->statusLowered();
+      });
     auto Self = shared_from_this();
     Eng->Ctx.simulator().scheduleAfter(
         Eng->Ctx.machine().Gpu.KernelLaunchOverhead,
@@ -130,38 +158,55 @@ struct GpuEngine::Run : std::enable_shared_from_this<GpuEngine::Run> {
     NextWg = WaveEnd;
     Live = WaveEnd - WaveBegin;
     NumCheckpoints = hw::gpuWaveCheckpoints(Cost, Desc.Abort);
-    Checkpoint = 0;
     sampleLive(Live);
-    scheduleSegment();
+    retime(0);
   }
 
-  /// Schedules the next checkpoint segment of the in-flight wave: the time
-  /// remaining for Live work-groups, split evenly over the remaining
-  /// checkpoints.
-  void scheduleSegment() {
-    Duration WaveRemaining = hw::gpuWaveTime(Eng->Ctx.machine(), Cost,
-                                             Desc.Abort, Live * ItemsPerWg);
-    int SegmentsLeft = NumCheckpoints - Checkpoint;
-    Duration Segment =
-        Duration::nanoseconds((WaveRemaining.nanos() *
-                               (NumCheckpoints - Checkpoint) /
-                               NumCheckpoints) /
-                              SegmentsLeft);
+  /// The wave reached checkpoint \p K now. Each remaining segment lasts
+  /// one NumCheckpoints-th of a whole wave of the Live work-groups,
+  /// truncated to whole nanoseconds; the event goes at the last checkpoint.
+  void retime(int K) {
+    Checkpoint = K;
+    CheckpointAt = Eng->Ctx.now();
+    Duration Wave = hw::gpuWaveTime(Eng->Ctx.machine(), Cost, Desc.Abort,
+                                    Live * ItemsPerWg);
+    Segment = Duration::nanoseconds(Wave.nanos() / NumCheckpoints);
+    scheduleCheckpoint(NumCheckpoints);
+  }
+
+  /// Makes checkpoint \p K the wave's one live event.
+  void scheduleCheckpoint(int K) {
+    EventCheckpoint = K;
+    uint64_t G = ++Gen;
     auto Self = shared_from_this();
-    Eng->Ctx.simulator().scheduleAfter(Segment,
-                                       [Self] { Self->atCheckpoint(); });
+    Eng->Ctx.simulator().scheduleAt(
+        CheckpointAt + Segment * static_cast<int64_t>(K - Checkpoint),
+        [Self, K, G] {
+          if (G == Self->Gen)
+            Self->atCheckpoint(K);
+        });
   }
 
-  void atCheckpoint() {
-    ++Checkpoint;
+  /// Status-word watcher. A lowering that cuts the live work-groups is
+  /// seen at the first checkpoint not yet passed whose time is at or after
+  /// now. Before the first wave nothing is live to cut: beginWave reads
+  /// the word, and finish() stops watching.
+  void statusLowered() {
+    if (liveUnderLimit() >= Live)
+      return;
+    int64_t Since = (Eng->Ctx.now() - CheckpointAt).nanos();
+    int64_t Seg = Segment.nanos();
+    int64_t Ahead = Seg > 0 ? (Since + Seg - 1) / Seg : 0;
+    int K = Checkpoint + static_cast<int>(std::max<int64_t>(1, Ahead));
+    if (K < EventCheckpoint)
+      scheduleCheckpoint(K);
+  }
+
+  void atCheckpoint(int K) {
     // Re-read the status word; in-flight work-groups now covered by the
-    // CPU abort at their next in-loop check (section 6.4).
+    // CPU abort at this in-loop check (section 6.4).
     if (Desc.Abort.Kind == hw::AbortPolicyKind::InLoop) {
-      uint64_t Limit = currentLimit();
-      uint64_t NewLive =
-          Limit >= WaveEnd
-              ? WaveEnd - WaveBegin
-              : (Limit > WaveBegin ? Limit - WaveBegin : 0);
+      uint64_t NewLive = liveUnderLimit();
       if (NewLive < Live) {
         if (Desc.Counters)
           Desc.Counters->GroupsWasted += Live - NewLive;
@@ -169,11 +214,11 @@ struct GpuEngine::Run : std::enable_shared_from_this<GpuEngine::Run> {
         sampleLive(Live);
       }
     }
-    if (Checkpoint >= NumCheckpoints || Live == 0) {
+    if (K >= NumCheckpoints || Live == 0) {
       commitWave();
       return;
     }
-    scheduleSegment();
+    retime(K);
   }
 
   void commitWave() {
@@ -194,6 +239,8 @@ struct GpuEngine::Run : std::enable_shared_from_this<GpuEngine::Run> {
   }
 
   void finish() {
+    if (watchesStatus())
+      Desc.Status->watch(nullptr);
     sampleLive(0);
     auto Done = std::move(Complete);
     Done(Executed);

@@ -8,7 +8,7 @@
 /// The descriptor of one NDRange kernel launch, including the extensions
 /// FluidiCL's transformed kernels need: a flat work-group range restriction
 /// (CPU subkernels, paper section 5.2), the GPU abort configuration and the
-/// status query the abort checks read (sections 4.2/6.4), and CPU
+/// status word the abort checks read (sections 4.2/6.4), and CPU
 /// work-group splitting (section 6.3).
 ///
 //===----------------------------------------------------------------------===//
@@ -19,6 +19,7 @@
 #include "hw/CostModel.h"
 #include "kern/Kernel.h"
 #include "kern/NDRange.h"
+#include "support/Error.h"
 
 #include <functional>
 #include <limits>
@@ -38,6 +39,41 @@ struct LaunchCounters {
   /// Work-groups an in-loop abort check killed after they had already
   /// started executing in a wave: cycles burned, results discarded.
   uint64_t GroupsWasted = 0;
+};
+
+/// The CPU execution-status word FluidiCL's transformed GPU kernels read
+/// (sections 4.2/6.4): the smallest flat work-group ID B such that every
+/// work-group >= B has been completed by the CPU *and its data has arrived
+/// at the GPU*. It only ever goes down. A GPU launch with in-loop checks
+/// watches the word instead of polling it at every checkpoint: lower()
+/// notifies the watcher, which moves the wave's next event to the first
+/// checkpoint at or after the lowering.
+class StatusWord {
+public:
+  explicit StatusWord(uint64_t Initial) : Value(Initial) {}
+
+  uint64_t value() const { return Value; }
+
+  /// Lowers the word to \p V and notifies the watcher; a no-op unless \p V
+  /// is below the current value.
+  void lower(uint64_t V) {
+    if (V >= Value)
+      return;
+    Value = V;
+    if (Watcher)
+      Watcher();
+  }
+
+  /// Installs (or, with null, removes) the one watcher told about every
+  /// lowering.
+  void watch(std::function<void()> Fn) {
+    FCL_CHECK(!Fn || !Watcher, "status word already watched");
+    Watcher = std::move(Fn);
+  }
+
+private:
+  uint64_t Value;
+  std::function<void()> Watcher;
 };
 
 /// One bound kernel argument at the API boundary: a Buffer or a scalar.
@@ -80,12 +116,10 @@ struct LaunchDesc {
   /// GPU abort-check configuration (None for unmodified kernels).
   hw::AbortConfig Abort;
 
-  /// When set, returns the smallest flat work-group ID B such that every
-  /// work-group >= B has been completed by the CPU *and its data has
-  /// arrived at this device*; abort checks compare against it. The GPU
-  /// stops launching (and, with in-loop checks, aborts in-flight)
-  /// work-groups >= B.
-  std::function<uint64_t()> AbortBoundary;
+  /// When set, the CPU status word the abort checks compare against: the
+  /// GPU stops launching (and, with in-loop checks, aborts in-flight)
+  /// work-groups >= its value.
+  std::shared_ptr<StatusWord> Status;
 
   /// CPU work-group splitting (section 6.3): when the range holds fewer
   /// work-groups than compute units, split each work-group across all

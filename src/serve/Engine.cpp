@@ -22,12 +22,23 @@ using namespace fcl::serve;
 std::string EngineConfig::validate() const {
   if (Streams < 1)
     return formatString("--streams must be >= 1 (got %d)", Streams);
+  if (Streams > MaxStreams)
+    return formatString("--streams must be <= %d (got %d)", MaxStreams,
+                        Streams);
   if (Horizon <= Duration::zero())
     return formatString("--duration must be > 0 s (got %g)",
                         Horizon.toSeconds());
   if (Horizon > Duration::seconds(1e6))
     return formatString("--duration must be <= 1e+06 s (got %g)",
                         Horizon.toSeconds());
+  if (Arrival.Kind != ArrivalKind::Closed) {
+    double Expected = static_cast<double>(Streams) * Arrival.RatePerSec *
+                      Horizon.toSeconds();
+    if (Expected > MaxOpenLoopArrivals)
+      return formatString("expected open-loop arrivals (--streams x rate x "
+                          "--duration) must be <= %g (got %g)",
+                          MaxOpenLoopArrivals, Expected);
+  }
   if (QueueDepth < 1)
     return formatString("--queue-depth must be >= 1 (got %d)", QueueDepth);
   if (SloMs < 0)
@@ -44,6 +55,9 @@ Engine::Engine(EngineConfig C) : Cfg(std::move(C)) {
   std::string Invalid = Cfg.validate();
   FCL_CHECK(Invalid.empty(), Invalid.c_str());
   Templates = jobTemplates(Cfg.Mix);
+  if (Cfg.Validate && Cfg.Mode == mcl::ExecMode::Functional)
+    for (const JobTemplate &T : Templates)
+      References.emplace_back(T.W);
   Ctx = std::make_unique<mcl::Context>(Cfg.M, Cfg.Mode);
   Ctx->setTracer(Cfg.Tracer);
   if (!Cfg.External) {
@@ -109,6 +123,7 @@ void Engine::sampleQueueDepth() {
 void Engine::onArrival(Req *R) {
   FCL_PROF_SCOPE("serve.admission");
   race::Section RaceS(RaceSec);
+  retireQuiescent();
   R->ArrivalAt = Ctx->now();
   ++Submitted;
   if (Ready.size() >= static_cast<size_t>(Cfg.QueueDepth)) {
@@ -227,7 +242,7 @@ void Engine::startDag(Req *R) {
         formatString("req %llu", static_cast<unsigned long long>(R->Id)));
   }
   R->Exec = std::make_unique<dag::DagJobExec>(*Ctx, R->T->W, *R->T->Dag,
-                                              Cfg.DagPlace, Cfg.Validate,
+                                              Cfg.DagPlace, referenceFor(R),
                                               &DagTotals, Cfg.Tracer);
   R->Exec->start([this, R] { jobDone(R); });
 }
@@ -253,7 +268,7 @@ void Engine::startCoop(Req *R) {
           formatString("req %llu", static_cast<unsigned long long>(R->Id)));
   }
   auto Exec = std::make_unique<CoopJobExec>(*Ctx, R->T->W, Cfg.FclOpts,
-                                            Cfg.Validate);
+                                            referenceFor(R));
   if (Cfg.P == Policy::FluidicCorun)
     Exec->runtime().setChunkYield([this](std::function<void()> Resume) {
       onChunkBoundary(std::move(Resume));
@@ -281,7 +296,7 @@ void Engine::startSingle(Req *R, bool OnGpu, bool Backfill) {
         OnGpu ? GpuLeaseName : CpuLeaseName,
         formatString("req %llu", static_cast<unsigned long long>(R->Id)));
   R->Exec = std::make_unique<SingleJobExec>(
-      *Ctx, OnGpu ? Ctx->gpu() : Ctx->cpu(), R->T->W, Cfg.Validate);
+      *Ctx, OnGpu ? Ctx->gpu() : Ctx->cpu(), R->T->W, referenceFor(R));
   R->Exec->start([this, R] { jobDone(R); });
 }
 
@@ -335,6 +350,7 @@ void Engine::drainResumes() {
 void Engine::jobDone(Req *R) {
   FCL_PROF_SCOPE("serve.callback");
   race::Section RaceS(RaceSec);
+  retireQuiescent();
   R->EndAt = Ctx->now();
   R->Done = true;
   ++CompletedN;
@@ -389,6 +405,40 @@ void Engine::jobDone(Req *R) {
   if (WasBackfill)
     drainResumes();
   dispatch();
+  // Queued for retirement only now: R's own completion chain is still on
+  // the stack, and a later callback must find it quiescent first.
+  Retiring.push_back(R);
+}
+
+HostReference *Engine::referenceFor(const Req *R) {
+  if (References.empty())
+    return nullptr;
+  return &References[static_cast<size_t>(R->T - Templates.data())];
+}
+
+void Engine::retireQuiescent() {
+  std::erase_if(Retiring, [this](Req *R) {
+    if (!R->Exec->quiescent())
+      return false;
+    harvestChecks(*R);
+    R->Exec.reset();
+    return true;
+  });
+}
+
+void Engine::harvestChecks(const Req &R) {
+  fluidicl::Runtime *RT = R.Exec->fclRuntime();
+  if (Cfg.FclOpts.Check == check::Policy::Off || !RT)
+    return;
+  // Fires the run-finish invariants (scratch leaks, pool accounting) while
+  // the sink is still collectable; the destructor's finish() is then a
+  // no-op drain.
+  RT->finish();
+  const check::DiagSink &S = RT->diagSink();
+  CheckErrorsN += S.errorCount();
+  CheckWarningsN += S.warningCount();
+  for (const check::Diag &D : S.diags())
+    CheckDiags.emplace_back(R.Id, D.str());
 }
 
 void Engine::emitOutcome(Req *R) {
@@ -465,8 +515,21 @@ int Engine::runningJobs() const {
 }
 
 bool Engine::quiescent() const {
-  return Ready.empty() && !GpuJob && !CpuJob &&
-         !Ctx->simulator().hasPending();
+  // Judged by what is in flight, not by the simulator's queue: superseded
+  // GPU checkpoint events stay queued after their launch ends, and do
+  // nothing when they fire.
+  if (!Ready.empty() || GpuJob || CpuJob || Submitted != Requests.size())
+    return false;
+  return std::all_of(Retiring.begin(), Retiring.end(),
+                     [](const Req *R) { return R->Exec->quiescent(); });
+}
+
+size_t Engine::liveExecutors() const {
+  size_t N = 0;
+  for (const auto &R : Requests)
+    if (R->Exec)
+      ++N;
+  return N;
 }
 
 TimePoint Engine::now() const { return Ctx->now(); }
@@ -474,8 +537,9 @@ TimePoint Engine::now() const { return Ctx->now(); }
 ServeReport Engine::finishExternal() {
   FCL_CHECK(Cfg.External, "finishExternal is for embedded engines");
   ServeReport Report = finalize();
-  for (auto &R : Requests)
+  for (Req *R : Retiring)
     R->Exec.reset();
+  Retiring.clear();
   return Report;
 }
 
@@ -496,10 +560,12 @@ ServeReport Engine::run() {
   // Drain everything: arrivals, jobs, trailing cooperative transfers.
   Ctx->simulator().run();
   ServeReport Report = finalize();
-  // Tear down executors only now, at top level: cooperative runtimes
-  // FCL_CHECK their queues idle on destruction.
-  for (auto &R : Requests)
+  // The drained run left every executor quiescent; those no engine
+  // callback retired (the last jobs') go now, after the report, so the
+  // race analyzer is disarmed as it was for the rest of the teardown.
+  for (Req *R : Retiring)
     R->Exec.reset();
+  Retiring.clear();
   return Report;
 }
 
@@ -540,20 +606,18 @@ void fcl::serve::fillReportCore(ReportCore &R, const EngineConfig &Cfg,
 void Engine::collectChecks(ServeReport &Rep) {
   if (Cfg.FclOpts.Check == check::Policy::Off)
     return;
-  for (auto &R : Requests) {
-    fluidicl::Runtime *RT = R->Exec ? R->Exec->fclRuntime() : nullptr;
-    if (!RT)
-      continue;
-    // Fires the run-finish invariants (scratch leaks, pool accounting)
-    // while the sink is still collectable; the destructor's finish() is
-    // then a no-op drain.
-    RT->finish();
-    const check::DiagSink &S = RT->diagSink();
-    Rep.CheckErrors += S.errorCount();
-    Rep.CheckWarnings += S.warningCount();
-    for (const check::Diag &D : S.diags())
-      Rep.CheckDiags.push_back(D.str());
-  }
+  for (Req *R : Retiring)
+    harvestChecks(*R);
+  // Executors retire in completion order; the report lists diagnostics by
+  // request.
+  std::stable_sort(
+      CheckDiags.begin(), CheckDiags.end(),
+      [](const auto &A, const auto &B) { return A.first < B.first; });
+  Rep.CheckErrors = CheckErrorsN;
+  Rep.CheckWarnings = CheckWarningsN;
+  for (auto &[Id, Line] : CheckDiags)
+    Rep.CheckDiags.push_back(std::move(Line));
+  CheckDiags.clear();
 }
 
 ServeReport Engine::finalize() {

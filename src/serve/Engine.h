@@ -39,6 +39,8 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 namespace fcl {
@@ -84,6 +86,13 @@ struct EngineConfig {
   /// epoch quanta (advanceTo) and collects results via the outcome hook.
   /// run() must not be called; the master calls finishExternal() instead.
   bool External = false;
+
+  /// Caps on the load a configuration may ask for, checked before anything
+  /// is allocated: the engine holds one generator per stream, and every
+  /// open-loop arrival is drawn up front (the largest run in the repo
+  /// draws about 192k).
+  static constexpr int MaxStreams = 1000000;
+  static constexpr double MaxOpenLoopArrivals = 1e7;
 
   /// Range rules for every field a user sets: empty when the configuration
   /// is valid, else a one-line message naming the tool option. The tools
@@ -160,8 +169,12 @@ public:
   int runningJobs() const;
   /// Queued jobs stolen away from this engine so far.
   uint64_t stolenOut() const { return StolenOutN; }
-  /// True when nothing is queued, running, or pending on the simulator.
+  /// True when every injected job has arrived and nothing is queued,
+  /// running, or still in flight in an executor.
   bool quiescent() const;
+  /// Executors alive right now: running jobs plus finished ones whose
+  /// trailing work has not yet drained.
+  size_t liveExecutors() const;
   TimePoint now() const;
   const std::vector<JobTemplate> &templates() const { return Templates; }
   /// Cluster-mode teardown: drains check diagnostics and builds this
@@ -202,6 +215,13 @@ private:
   bool headIsDag() const;
   void startSingle(Req *R, bool OnGpu, bool Backfill);
   void jobDone(Req *R);
+  /// The host reference of \p R's template when validating, else null.
+  HostReference *referenceFor(const Req *R);
+  /// Destroys every finished request's executor that is now quiescent.
+  void retireQuiescent();
+  /// Collects the check diagnostics of \p R's cooperative runtime, if any,
+  /// before its executor is destroyed.
+  void harvestChecks(const Req &R);
   /// fluidicl chunk-yield hook of the active cooperative job (corun only).
   void onChunkBoundary(std::function<void()> Resume);
   void drainResumes();
@@ -211,8 +231,9 @@ private:
   Req *takeFirst(bool WantLarge);
   Req *popHead();
   void sampleQueueDepth();
-  /// Drains per-job runtime check diagnostics into \p Rep (called after
-  /// the simulator is idle, before executors are torn down).
+  /// Harvests the executors still alive, then moves every harvested check
+  /// diagnostic into \p Rep in request order (called after the simulator
+  /// is idle).
   void collectChecks(ServeReport &Rep);
   void emitOutcome(Req *R);
   ServeReport finalize();
@@ -223,6 +244,19 @@ private:
   std::vector<StreamGen> Gens;
   std::vector<std::unique_ptr<Req>> Requests;
   std::deque<Req *> Ready;
+  /// Finished requests whose executors are still alive. Trailing
+  /// cooperative work (DH transfers, aborting GPU waves) may outlast the
+  /// client's results; the first engine callback that finds an executor
+  /// quiescent destroys it, so a run holds a handful of executors, not one
+  /// per completed job.
+  std::vector<Req *> Retiring;
+  /// One host reference per template, filled on first use; empty unless
+  /// the run validates functional results.
+  std::vector<HostReference> References;
+  /// Check diagnostics harvested so far, each with its request's id.
+  uint64_t CheckErrorsN = 0;
+  uint64_t CheckWarningsN = 0;
+  std::vector<std::pair<uint64_t, std::string>> CheckDiags;
 
   // Device leases. A cooperative FifoExclusive job holds both.
   Req *GpuJob = nullptr;

@@ -13,11 +13,18 @@
 using namespace fcl;
 using namespace fcl::serve;
 
-void JobExec::finishJob() {
-  if (Validate && Ctx.functional()) {
-    work::computeReference(W, Host);
-    ValidationFailed = !work::matchesReference(W, Host, Results);
+const std::vector<std::vector<std::byte>> &HostReference::get() {
+  if (!Ready) {
+    Bufs = work::initHostData(*W);
+    work::computeReference(*W, Bufs);
+    Ready = true;
   }
+  return Bufs;
+}
+
+void JobExec::finishJob() {
+  if (Reference && Ctx.functional())
+    ValidationFailed = !work::matchesReference(W, Reference->get(), Results);
   FCL_CHECK(OnDone, "job finished twice");
   DoneFn Fn = std::move(OnDone);
   OnDone = nullptr;
@@ -27,19 +34,23 @@ void JobExec::finishJob() {
 // --- CoopJobExec -----------------------------------------------------------
 
 CoopJobExec::CoopJobExec(mcl::Context &Ctx, const work::Workload &W,
-                         const fluidicl::Options &Opts, bool Validate)
-    : JobExec(Ctx, W, Validate),
+                         const fluidicl::Options &Opts,
+                         HostReference *Reference)
+    : JobExec(Ctx, W, Reference),
       RT(std::make_unique<fluidicl::Runtime>(Ctx, Opts)) {}
 
 void CoopJobExec::start(DoneFn Done) {
   OnDone = std::move(Done);
   bool Functional = Ctx.functional();
+  // Writes capture their bytes at enqueue time, so the initial data need
+  // not outlive this call.
+  std::vector<std::vector<std::byte>> Init;
   if (Functional)
-    Host = work::initHostData(W);
+    Init = work::initHostData(W);
   for (size_t I = 0; I < W.Buffers.size(); ++I)
     Ids.push_back(RT->createBuffer(W.Buffers[I].Bytes, W.Buffers[I].Name));
   for (size_t I = 0; I < W.Buffers.size(); ++I)
-    RT->writeBuffer(Ids[I], Functional ? Host[I].data() : nullptr,
+    RT->writeBuffer(Ids[I], Functional ? Init[I].data() : nullptr,
                     W.Buffers[I].Bytes);
   Results.resize(W.ResultBuffers.size());
   if (Functional)
@@ -80,14 +91,16 @@ void CoopJobExec::readNext() {
 // --- SingleJobExec ---------------------------------------------------------
 
 SingleJobExec::SingleJobExec(mcl::Context &Ctx, mcl::Device &Dev,
-                             const work::Workload &W, bool Validate)
-    : JobExec(Ctx, W, Validate), Dev(Dev) {}
+                             const work::Workload &W,
+                             HostReference *Reference)
+    : JobExec(Ctx, W, Reference), Dev(Dev) {}
 
 void SingleJobExec::start(DoneFn Done) {
   OnDone = std::move(Done);
   bool Functional = Ctx.functional();
+  std::vector<std::vector<std::byte>> Init;
   if (Functional)
-    Host = work::initHostData(W);
+    Init = work::initHostData(W);
   Q = Ctx.createQueue(Dev, "serve-single");
   Duration Api = Ctx.machine().Host.ApiCallOverhead;
   for (const work::BufferSpec &Spec : W.Buffers) {
@@ -96,7 +109,7 @@ void SingleJobExec::start(DoneFn Done) {
   }
   for (size_t I = 0; I < W.Buffers.size(); ++I) {
     Ctx.hostAdvance(Api);
-    Q->enqueueWrite(*Bufs[I], Functional ? Host[I].data() : nullptr,
+    Q->enqueueWrite(*Bufs[I], Functional ? Init[I].data() : nullptr,
                     W.Buffers[I].Bytes);
   }
   for (const work::KernelCall &Call : W.Calls) {

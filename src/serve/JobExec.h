@@ -19,8 +19,8 @@
 ///    last read's completion finishes the job.
 ///
 /// In functional execution mode both executors can validate their results
-/// against the host reference, proving that concurrent streams do not
-/// corrupt each other's data.
+/// against their template's host reference, proving that concurrent
+/// streams do not corrupt each other's data.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,10 +41,27 @@
 namespace fcl {
 namespace serve {
 
+/// The host reference of one job template: its buffers after the
+/// template's workload ran on the host from its initial data
+/// (work::initHostData, a pure function of the buffer specs). Computed on
+/// first use and shared by every validated job of that template; an engine
+/// owns one per template, so no lock is needed.
+class HostReference {
+public:
+  explicit HostReference(const work::Workload &W) : W(&W) {}
+
+  const std::vector<std::vector<std::byte>> &get();
+
+private:
+  const work::Workload *W;
+  std::vector<std::vector<std::byte>> Bufs;
+  bool Ready = false;
+};
+
 /// Base of the executor shapes (dag::DagJobExec is the third). Lifetime:
-/// the engine keeps every executor alive until the whole run is torn down,
-/// so trailing cooperative work (DH transfers after the client already has
-/// its results) can drain on the shared clock without dangling queues.
+/// an executor may outlive its client's results, since trailing
+/// cooperative work (DH transfers, aborting GPU waves) still drains on the
+/// shared clock. The engine destroys it once quiescent() holds.
 class JobExec {
 public:
   using DoneFn = std::function<void()>;
@@ -56,6 +73,12 @@ public:
   /// how the paper measures total running time).
   virtual void start(DoneFn OnDone) = 0;
 
+  /// True once nothing of the started job is in flight: its queues are
+  /// idle, no DH transfer is pending and no kernel execution is referenced
+  /// from a pending event or callback. Destroying the executor then cuts
+  /// nothing short.
+  virtual bool quiescent() const = 0;
+
   /// True when functional validation ran and the results were wrong.
   bool validationFailed() const { return ValidationFailed; }
 
@@ -65,20 +88,20 @@ public:
   virtual fluidicl::Runtime *fclRuntime() { return nullptr; }
 
 protected:
-  JobExec(mcl::Context &Ctx, const work::Workload &W, bool Validate)
-      : Ctx(Ctx), W(W), Validate(Validate) {}
+  /// \p Reference is the template's host reference when the job validates
+  /// its results, else null.
+  JobExec(mcl::Context &Ctx, const work::Workload &W,
+          HostReference *Reference)
+      : Ctx(Ctx), W(W), Reference(Reference) {}
 
   /// Ends the job: with validation on in functional mode, checks Results
-  /// against the reference computed from Host (work::matchesReference),
-  /// then fires OnDone exactly once.
+  /// against the reference (work::matchesReference), then fires OnDone
+  /// exactly once.
   void finishJob();
 
   mcl::Context &Ctx;
   const work::Workload &W;
-  bool Validate;
-  /// The job's initial host data (functional mode only); validation runs
-  /// the host reference over it in place.
-  std::vector<std::vector<std::byte>> Host;
+  HostReference *Reference;
   /// One vector per W.ResultBuffers entry (functional mode only).
   std::vector<std::vector<std::byte>> Results;
   DoneFn OnDone;
@@ -89,9 +112,10 @@ protected:
 class CoopJobExec final : public JobExec {
 public:
   CoopJobExec(mcl::Context &Ctx, const work::Workload &W,
-              const fluidicl::Options &Opts, bool Validate);
+              const fluidicl::Options &Opts, HostReference *Reference);
 
   void start(DoneFn OnDone) override;
+  bool quiescent() const override { return RT->quiescent(); }
 
   /// The job's private runtime (the engine installs its chunk-yield hook
   /// here before start()).
@@ -113,9 +137,10 @@ private:
 class SingleJobExec final : public JobExec {
 public:
   SingleJobExec(mcl::Context &Ctx, mcl::Device &Dev, const work::Workload &W,
-                bool Validate);
+                HostReference *Reference);
 
   void start(DoneFn OnDone) override;
+  bool quiescent() const override { return Q->idle(); }
 
 private:
   mcl::Device &Dev;

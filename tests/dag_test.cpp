@@ -40,8 +40,10 @@ DagStats runOne(const work::Workload &W, Placement P,
   mcl::Context Ctx(hw::paperMachine(), Mode);
   Graph G = graphOf(W);
   DagStats S;
-  DagJobExec E(Ctx, W, G, P, /*Validate=*/Mode == mcl::ExecMode::Functional,
-               &S, nullptr);
+  serve::HostReference Ref(W);
+  DagJobExec E(Ctx, W, G, P,
+               Mode == mcl::ExecMode::Functional ? &Ref : nullptr, &S,
+               nullptr);
   int DoneCount = 0;
   E.start([&DoneCount] { ++DoneCount; });
   Ctx.simulator().run();
@@ -209,8 +211,8 @@ TEST(DagExecTest, TracerGetsOneSlicePerNode) {
   work::Workload W = makeDiamond(32);
   Graph G = graphOf(W);
   trace::Tracer T;
-  DagJobExec E(Ctx, W, G, Placement::Residency, /*Validate=*/false, nullptr,
-               &T);
+  DagJobExec E(Ctx, W, G, Placement::Residency, /*Reference=*/nullptr,
+               nullptr, &T);
   bool Done = false;
   E.start([&Done] { Done = true; });
   Ctx.simulator().run();

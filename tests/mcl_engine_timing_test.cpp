@@ -80,7 +80,7 @@ TEST(GpuWaveTest, EventExecutionMatchesAnalyticDuration) {
     LaunchDesc Desc = syrkDesc(Ctx, *A, *C, 512);
     Desc.Abort.Kind = Kind;
     if (Kind != hw::AbortPolicyKind::None)
-      Desc.AbortBoundary = [] { return ~uint64_t(0); }; // Never aborts.
+      Desc.Status = std::make_shared<StatusWord>(~uint64_t(0)); // Never aborts.
     Duration Analytic = Gpu.launchDuration(Desc);
     TimePoint T0 = Ctx.now();
     Queue->enqueueKernel(Desc)->wait();
@@ -108,12 +108,12 @@ TEST(GpuWaveTest, InLoopAbortTerminatesFasterThanAtStart) {
                  LaunchArg::scalarFp(1),      LaunchArg::scalarFp(1),
                  LaunchArg::scalarInt(1024),  LaunchArg::scalarInt(1024)};
     Desc.Abort.Kind = Kind;
-    auto Boundary = std::make_shared<uint64_t>(~uint64_t(0));
-    Desc.AbortBoundary = [Boundary] { return *Boundary; };
+    auto Boundary = std::make_shared<StatusWord>(~uint64_t(0));
+    Desc.Status = Boundary;
     // Drop the boundary to zero shortly after launch overhead.
     Ctx.simulator().scheduleAfter(
         Ctx.machine().Gpu.KernelLaunchOverhead + Duration::microseconds(20),
-        [Boundary] { *Boundary = 0; });
+        [Boundary] { Boundary->lower(0); });
     TimePoint T0 = Ctx.now();
     Queue->enqueueKernel(Desc)->wait();
     return (Ctx.now() - T0).toSeconds();
@@ -121,6 +121,115 @@ TEST(GpuWaveTest, InLoopAbortTerminatesFasterThanAtStart) {
   double AtStart = RunWith(hw::AbortPolicyKind::AtStart);
   double InLoop = RunWith(hw::AbortPolicyKind::InLoop);
   EXPECT_LT(InLoop, AtStart);
+}
+
+/// The per-work-item cost the GPU engine charges for \p Desc.
+hw::WorkItemCost costOf(const LaunchDesc &Desc) {
+  kern::CostQuery Query;
+  Query.Range = Desc.Range;
+  for (const LaunchArg &A : Desc.Args) {
+    kern::ArgValue V;
+    V.IntValue = A.IntValue;
+    V.FpValue = A.FpValue;
+    Query.Scalars.push_back(V);
+  }
+  return Desc.Kernel->Cost(Query);
+}
+
+TEST(GpuWaveTest, UncutInLoopWaveIsOneEvent) {
+  Context Ctx(hw::paperMachine(), ExecMode::TimingOnly);
+  auto Queue = Ctx.createQueue(Ctx.gpu());
+  auto A = Ctx.createBuffer(Ctx.gpu(), 1024 * 1024 * 4);
+  auto C = Ctx.createBuffer(Ctx.gpu(), 1024 * 1024 * 4);
+  LaunchDesc Desc = syrkDesc(Ctx, *A, *C, 1024);
+  Desc.FlatEnd = 224; // Two waves.
+  Desc.Abort.Kind = hw::AbortPolicyKind::InLoop;
+  Desc.Status = std::make_shared<StatusWord>(~uint64_t(0));
+  ASSERT_EQ(hw::gpuWaveCheckpoints(costOf(Desc), Desc.Abort), 32);
+  uint64_t Before = Ctx.simulator().eventsExecuted();
+  EventPtr Done = Queue->enqueueKernel(Desc);
+  Done->wait();
+  EXPECT_EQ(Done->payload(), 224u);
+  // The launch overhead, then one event per wave instead of 32.
+  EXPECT_EQ(Ctx.simulator().eventsExecuted() - Before, 3u);
+}
+
+TEST(GpuWaveTest, LoweringIsSeenAtTheFirstCheckpointAtOrAfterIt) {
+  // One 112-group wave with 32 checkpoints; the word drops to 56 (half the
+  // wave) either strictly inside segment K or exactly at checkpoint K's
+  // nanosecond. Both are seen at checkpoint K: 56 groups abort there and
+  // the survivors' remaining segments are re-timed for 56 groups.
+  const int K = 10;
+  for (bool Exact : {false, true}) {
+    Context Ctx(hw::paperMachine(), ExecMode::TimingOnly);
+    const hw::Machine &M = Ctx.machine();
+    auto Queue = Ctx.createQueue(Ctx.gpu());
+    auto A = Ctx.createBuffer(Ctx.gpu(), 1024 * 1024 * 4);
+    auto C = Ctx.createBuffer(Ctx.gpu(), 1024 * 1024 * 4);
+    LaunchDesc Desc = syrkDesc(Ctx, *A, *C, 1024);
+    Desc.FlatEnd = 112;
+    Desc.Abort.Kind = hw::AbortPolicyKind::InLoop;
+    auto Word = std::make_shared<StatusWord>(~uint64_t(0));
+    Desc.Status = Word;
+    auto Counters = std::make_shared<LaunchCounters>();
+    Desc.Counters = Counters;
+
+    hw::WorkItemCost Cost = costOf(Desc);
+    const int N = hw::gpuWaveCheckpoints(Cost, Desc.Abort);
+    ASSERT_EQ(N, 32);
+    uint64_t Items = Desc.Range.itemsPerGroup();
+    int64_t Seg = hw::gpuWaveTime(M, Cost, Desc.Abort, 112 * Items).nanos() / N;
+    int64_t SegHalf =
+        hw::gpuWaveTime(M, Cost, Desc.Abort, 56 * Items).nanos() / N;
+    ASSERT_GT(Seg, 2);
+    TimePoint WaveStart = Ctx.now() + M.Gpu.KernelLaunchOverhead;
+    TimePoint CheckK = WaveStart + Duration::nanoseconds(K * Seg);
+    TimePoint LowerAt =
+        WaveStart + Duration::nanoseconds(Exact ? K * Seg : K * Seg - Seg / 2);
+    Ctx.simulator().scheduleAt(LowerAt, [Word] { Word->lower(56); });
+
+    EventPtr Done = Queue->enqueueKernel(Desc);
+    Done->wait();
+    EXPECT_EQ(Done->payload(), 56u) << "exact=" << Exact;
+    EXPECT_EQ(Counters->GroupsWasted, 56u) << "exact=" << Exact;
+    TimePoint Want = CheckK + Duration::nanoseconds((N - K) * SegHalf);
+    EXPECT_EQ(Done->completeTime().nanos(), Want.nanos())
+        << "exact=" << Exact;
+  }
+}
+
+TEST(GpuWaveTest, LoweringsThatCutNoLiveWaveScheduleNothing) {
+  Context Ctx(hw::paperMachine(), ExecMode::TimingOnly);
+  const hw::Machine &M = Ctx.machine();
+  auto Queue = Ctx.createQueue(Ctx.gpu());
+  auto A = Ctx.createBuffer(Ctx.gpu(), 1024 * 1024 * 4);
+  auto C = Ctx.createBuffer(Ctx.gpu(), 1024 * 1024 * 4);
+  LaunchDesc Desc = syrkDesc(Ctx, *A, *C, 1024);
+  Desc.FlatEnd = 336; // Three waves.
+  Desc.Abort.Kind = hw::AbortPolicyKind::InLoop;
+  auto Word = std::make_shared<StatusWord>(~uint64_t(0));
+  Desc.Status = Word;
+  sim::Simulator &Sim = Ctx.simulator();
+  uint64_t Before = Sim.eventsExecuted();
+  // During the launch overhead no wave is in flight: beginWave reads the
+  // word. Mid-way through the first wave [0, 112), a drop to 150 leaves
+  // every live group alive: the second wave reads it and runs [112, 150).
+  Sim.scheduleAfter(
+      Duration::nanoseconds(M.Gpu.KernelLaunchOverhead.nanos() / 2),
+      [Word] { Word->lower(300); });
+  Sim.scheduleAfter(M.Gpu.KernelLaunchOverhead + Duration::microseconds(5),
+                    [Word] { Word->lower(150); });
+  EventPtr Done = Queue->enqueueKernel(Desc);
+  Done->wait();
+  EXPECT_EQ(Done->payload(), 150u);
+  // Two lowerings, the launch overhead and one event per wave: neither
+  // lowering scheduled a checkpoint event.
+  EXPECT_EQ(Sim.eventsExecuted() - Before, 5u);
+  // After the launch the word has no watcher: lowering it is one event.
+  Before = Sim.eventsExecuted();
+  Sim.scheduleAfter(Duration::microseconds(1), [Word] { Word->lower(0); });
+  Sim.run();
+  EXPECT_EQ(Sim.eventsExecuted() - Before, 1u);
 }
 
 TEST(CpuEngineTest, RoundStructureQuantizesDuration) {

@@ -341,7 +341,7 @@ TEST(GpuEngineTest, AbortBoundaryStopsRemainingGroups) {
   LaunchDesc Desc = vecAddDesc(*A, *B, *C, N); // 256 groups.
   Desc.Abort.Kind = hw::AbortPolicyKind::AtStart;
   // The "CPU" has completed everything from group 100 up, from the start.
-  Desc.AbortBoundary = [] { return uint64_t(100); };
+  Desc.Status = std::make_shared<StatusWord>(100);
   EventPtr Done = Queue->enqueueKernel(std::move(Desc));
   Done->wait();
   EXPECT_EQ(Done->payload(), 100u);
@@ -356,7 +356,7 @@ TEST(GpuEngineTest, NoAbortWithoutPolicyEvenIfBoundarySet) {
   auto C = Ctx.createBuffer(Ctx.gpu(), N * 4);
   LaunchDesc Desc = vecAddDesc(*A, *B, *C, N);
   Desc.Abort.Kind = hw::AbortPolicyKind::None; // Unmodified kernel.
-  Desc.AbortBoundary = [] { return uint64_t(0); };
+  Desc.Status = std::make_shared<StatusWord>(0);
   EventPtr Done = Queue->enqueueKernel(std::move(Desc));
   Done->wait();
   EXPECT_EQ(Done->payload(), 256u);
@@ -368,7 +368,7 @@ TEST(GpuEngineTest, BoundaryLoweredMidKernelShortensExecution) {
   const kern::KernelInfo &Syrk = kern::Registry::builtin().get("syrk_kernel");
   auto A = Ctx.createBuffer(Ctx.gpu(), 1024 * 1024 * 4);
   auto C = Ctx.createBuffer(Ctx.gpu(), 1024 * 1024 * 4);
-  auto MakeDesc = [&](std::function<uint64_t()> Boundary) {
+  auto MakeDesc = [&](std::shared_ptr<StatusWord> Boundary) {
     LaunchDesc Desc;
     Desc.Kernel = &Syrk;
     Desc.Range = kern::NDRange::of2D(1024, 1024, 32, 8); // 4096 groups.
@@ -376,26 +376,25 @@ TEST(GpuEngineTest, BoundaryLoweredMidKernelShortensExecution) {
                  LaunchArg::scalarFp(1.0), LaunchArg::scalarFp(1.0),
                  LaunchArg::scalarInt(1024), LaunchArg::scalarInt(1024)};
     Desc.Abort.Kind = hw::AbortPolicyKind::InLoop;
-    Desc.AbortBoundary = std::move(Boundary);
+    Desc.Status = std::move(Boundary);
     return Desc;
   };
 
   // Full run.
   TimePoint T0 = Ctx.now();
   EventPtr Full = Queue->enqueueKernel(
-      MakeDesc([] { return uint64_t(1) << 40; }));
+      MakeDesc(std::make_shared<StatusWord>(uint64_t(1) << 40)));
   Full->wait();
   Duration FullTime = Ctx.now() - T0;
   EXPECT_EQ(Full->payload(), 4096u);
 
   // The boundary drops to 2048 once simulated time passes one quarter of
   // the full run (as if CPU results arrived then).
-  auto Boundary = std::make_shared<uint64_t>(1ull << 40);
+  auto Boundary = std::make_shared<StatusWord>(1ull << 40);
   TimePoint Cut = Ctx.now() + Duration::nanoseconds(FullTime.nanos() / 4);
-  Ctx.simulator().scheduleAt(Cut, [Boundary] { *Boundary = 2048; });
+  Ctx.simulator().scheduleAt(Cut, [Boundary] { Boundary->lower(2048); });
   TimePoint T1 = Ctx.now();
-  EventPtr Cutoff =
-      Queue->enqueueKernel(MakeDesc([Boundary] { return *Boundary; }));
+  EventPtr Cutoff = Queue->enqueueKernel(MakeDesc(Boundary));
   Cutoff->wait();
   Duration CutTime = Ctx.now() - T1;
   EXPECT_LT(Cutoff->payload(), 4096u);

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 using namespace fcl;
@@ -301,3 +302,37 @@ TEST(ServeEngineTest, ReportJsonCarriesSchemaAndConfigEcho) {
 }
 
 } // namespace
+
+TEST(ServeEngineTest, FinishedExecutorsAreRetiredOnceQuiescent) {
+  // An embedded engine driven in 1 ms epochs through a few thousand corun
+  // jobs, offered faster than the pair drains them. Between epochs it must
+  // hold only the running jobs' executors plus the few finished ones whose
+  // trailing work has not yet drained - not one per completed job.
+  EngineConfig Cfg = baseConfig(Policy::FluidicCorun);
+  Cfg.External = true;
+  Cfg.QueueDepth = 100000;
+  Engine E(Cfg);
+  uint64_t Completed = 0;
+  E.setOutcomeFn([&Completed](const JobOutcome &O) {
+    if (!O.Rejected)
+      ++Completed;
+  });
+  const int Jobs = 3000;
+  const int NumTemplates = static_cast<int>(E.templates().size());
+  for (int I = 0; I < Jobs; ++I)
+    E.injectJob(static_cast<uint64_t>(I), I % NumTemplates, I % 8,
+                TimePoint() + Duration::microseconds(100) * I);
+  size_t MaxLive = 0;
+  TimePoint Epoch;
+  for (int Step = 0; Step < 100000 && !E.quiescent(); ++Step) {
+    Epoch = Epoch + Duration::milliseconds(1);
+    E.advanceTo(Epoch);
+    MaxLive = std::max(MaxLive, E.liveExecutors());
+  }
+  ASSERT_TRUE(E.quiescent());
+  EXPECT_EQ(Completed, static_cast<uint64_t>(Jobs));
+  EXPECT_LE(MaxLive, 8u);
+  ServeReport R = E.finishExternal();
+  EXPECT_EQ(R.Completed, static_cast<uint64_t>(Jobs));
+  EXPECT_EQ(E.liveExecutors(), 0u);
+}

@@ -79,6 +79,14 @@ expect_error(range "${TIERS}" "--streams is out of range \\(got 3e9\\)"
              --streams=3e9)
 expect_error(range "${TIERS}" "--queue-depth is out of range \\(got 1e12\\)"
              --queue-depth=1e12)
+# Counts that fit an int but would allocate without bound before the run:
+# one generator per stream, and every open-loop arrival drawn up front.
+expect_error(range "${TIERS}"
+             "--streams must be <= 1000000 \\(got 2147483647\\)"
+             --streams=2147483647)
+expect_error(range "${TIERS}"
+             "open-loop arrivals .* must be <= 1e\\+07 \\(got 2e\\+07\\)"
+             "--arrival=poisson:1e6;--duration=10")
 expect_error(range CLUSTER "--workers is out of range \\(got 4294967298\\)"
              --workers=4294967298)
 expect_error(range CLUSTER "--workers is out of range \\(got 1e10\\)"
