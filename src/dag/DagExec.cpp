@@ -23,9 +23,9 @@ using namespace fcl::dag;
 
 DagJobExec::DagJobExec(mcl::Context &Ctx, const work::Workload &W,
                        const Graph &G, Placement Place,
-                       serve::HostReference *Reference, DagStats *Stats,
-                       trace::Tracer *Trace)
-    : JobExec(Ctx, W, Reference), G(G), Place(Place), Stats(Stats),
+                       serve::HostData *Host, bool Validate,
+                       DagStats *Stats, trace::Tracer *Trace)
+    : JobExec(Ctx, W, Host, Validate), G(G), Place(Place), Stats(Stats),
       Trace(Trace), Res(W.Buffers.size()) {
   FCL_CHECK(G.size() == W.Calls.size(), "graph does not describe workload");
   static std::atomic<uint64_t> NextRaceId{0};
@@ -38,8 +38,9 @@ DagJobExec::~DagJobExec() = default;
 void DagJobExec::start(DoneFn Done) {
   OnDone = std::move(Done);
   bool Functional = Ctx.functional();
+  // Node reads land in Stage, so it is this job's own copy of the image.
   if (Functional)
-    Stage = work::initHostData(W);
+    Stage = Host->image();
   Qs[GpuIdx] = Ctx.createQueue(Ctx.gpu(), "dag-gpu");
   Qs[CpuIdx] = Ctx.createQueue(Ctx.cpu(), "dag-cpu");
   Bufs.resize(W.Buffers.size());

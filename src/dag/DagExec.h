@@ -49,7 +49,7 @@ public:
   /// (optional) accumulates transfer/node accounting across jobs; \p Trace
   /// (optional) gets one "Serve DAG" slice per node.
   DagJobExec(mcl::Context &Ctx, const work::Workload &W, const Graph &G,
-             Placement Place, serve::HostReference *Reference,
+             Placement Place, serve::HostData *Host, bool Validate,
              DagStats *Stats, trace::Tracer *Trace);
   ~DagJobExec() override;
 

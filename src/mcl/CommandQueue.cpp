@@ -81,12 +81,13 @@ void CommandQueue::pump() {
   startCommand(std::move(Next));
 }
 
-void CommandQueue::traceCommand(const Command &Cmd) const {
+void CommandQueue::traceCommand(const Command &Cmd) {
   trace::Tracer *T = Ctx.tracer();
   if (!T)
     return;
   bool IsGpu = Dev.kind() == DeviceKind::Gpu;
-  std::string Lane, Name;
+  std::string_view Lane;
+  std::string CopyLane, Name;
   switch (Cmd.Kind) {
   case CommandKind::Write:
     Lane = IsGpu ? "PCIe H2D" : "HostCopy H2D";
@@ -101,7 +102,8 @@ void CommandQueue::traceCommand(const Command &Cmd) const {
                         static_cast<unsigned long long>(Cmd.Bytes));
     break;
   case CommandKind::Copy:
-    Lane = Dev.name() + " copy";
+    CopyLane = Dev.name() + " copy";
+    Lane = CopyLane;
     Name = formatString("copy %s -> %s",
                         Cmd.Src ? Cmd.Src->debugName().c_str() : "?",
                         Cmd.Dst ? Cmd.Dst->debugName().c_str() : "?");
@@ -120,8 +122,9 @@ void CommandQueue::traceCommand(const Command &Cmd) const {
   case CommandKind::Callback:
     return; // Zero-duration bookkeeping; not worth a slice.
   }
-  T->record(std::move(Lane), std::move(Name), Cmd.StartedAt, Ctx.now(),
-            "queue=" + DebugName);
+  if (TraceDetail.empty())
+    TraceDetail = "queue=" + DebugName;
+  T->record(Lane, Name, Cmd.StartedAt, Ctx.now(), TraceDetail);
 }
 
 void CommandQueue::startCommand(Command &&Cmd) {

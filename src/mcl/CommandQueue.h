@@ -75,13 +75,15 @@ private:
   struct Command;
 
   void pump();
-  void traceCommand(const Command &Cmd) const;
+  void traceCommand(const Command &Cmd);
   void startCommand(Command &&Cmd);
   EventPtr enqueue(Command Cmd);
 
   Context &Ctx;
   Device &Dev;
   std::string DebugName;
+  /// Slice detail "queue=<DebugName>", built by the first traced command.
+  std::string TraceDetail;
   bool Busy = false;
   std::deque<Command> Pending;
 };

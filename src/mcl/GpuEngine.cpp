@@ -18,7 +18,9 @@
 using namespace fcl;
 using namespace fcl::mcl;
 
-GpuEngine::GpuEngine(Context &Ctx) : Device(Ctx, DeviceKind::Gpu, "SimGPU") {}
+GpuEngine::GpuEngine(Context &Ctx)
+    : Device(Ctx, DeviceKind::Gpu, "SimGPU"),
+      LiveTrack(name() + " live work-groups") {}
 
 int GpuEngine::computeUnits() const { return Ctx.machine().Gpu.NumSms; }
 
@@ -130,8 +132,7 @@ struct GpuEngine::Run : std::enable_shared_from_this<GpuEngine::Run> {
   /// Occupancy counter track: live work-groups on the device right now.
   void sampleLive(uint64_t Value) const {
     if (trace::Tracer *T = Eng->Ctx.tracer())
-      T->counter(Eng->name() + " live work-groups", Eng->Ctx.now(),
-                 static_cast<double>(Value));
+      T->counter(Eng->LiveTrack, Eng->Ctx.now(), static_cast<double>(Value));
   }
 
   void start() {

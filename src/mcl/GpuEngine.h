@@ -41,6 +41,8 @@ private:
   struct Run;
 
   TimePoint ChannelFree[2];
+  /// Counter track of live work-groups: "<name> live work-groups".
+  std::string LiveTrack;
 };
 
 } // namespace mcl

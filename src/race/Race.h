@@ -27,10 +27,13 @@
 ///    cross-thread edge (a mutex/condition-variable handoff that already
 ///    exists, e.g. the cluster fabric's epoch barrier).
 ///  * Shared host structures (serve queues, version tracker, buffer pool,
-///    stats registries, tracer, the cluster master's tables) are
-///    shadow-tracked: every read/write is checked against the last
-///    conflicting access, and any pair unordered by happens-before is
-///    reported as a would-be race.
+///    the cluster master's tables) are shadow-tracked: every read/write is
+///    checked against the last conflicting access, and any pair unordered
+///    by happens-before is reported as a would-be race. The stats
+///    registries and the tracer are not: each only declares a Section
+///    around its writes, whose enter and exit add happens-before edges
+///    between the tasks that write it, and no access of theirs is
+///    checked.
 ///
 /// Vector clocks use strand compression: the first event a task schedules
 /// continues the parent's strand at the next epoch, so completion chains

@@ -55,9 +55,9 @@ Engine::Engine(EngineConfig C) : Cfg(std::move(C)) {
   std::string Invalid = Cfg.validate();
   FCL_CHECK(Invalid.empty(), Invalid.c_str());
   Templates = jobTemplates(Cfg.Mix);
-  if (Cfg.Validate && Cfg.Mode == mcl::ExecMode::Functional)
+  if (Cfg.Mode == mcl::ExecMode::Functional)
     for (const JobTemplate &T : Templates)
-      References.emplace_back(T.W);
+      Hosts.emplace_back(T.W);
   Ctx = std::make_unique<mcl::Context>(Cfg.M, Cfg.Mode);
   Ctx->setTracer(Cfg.Tracer);
   if (!Cfg.External) {
@@ -242,8 +242,9 @@ void Engine::startDag(Req *R) {
         formatString("req %llu", static_cast<unsigned long long>(R->Id)));
   }
   R->Exec = std::make_unique<dag::DagJobExec>(*Ctx, R->T->W, *R->T->Dag,
-                                              Cfg.DagPlace, referenceFor(R),
-                                              &DagTotals, Cfg.Tracer);
+                                              Cfg.DagPlace, hostFor(R),
+                                              Cfg.Validate, &DagTotals,
+                                              Cfg.Tracer);
   R->Exec->start([this, R] { jobDone(R); });
 }
 
@@ -268,7 +269,7 @@ void Engine::startCoop(Req *R) {
           formatString("req %llu", static_cast<unsigned long long>(R->Id)));
   }
   auto Exec = std::make_unique<CoopJobExec>(*Ctx, R->T->W, Cfg.FclOpts,
-                                            referenceFor(R));
+                                            hostFor(R), Cfg.Validate);
   if (Cfg.P == Policy::FluidicCorun)
     Exec->runtime().setChunkYield([this](std::function<void()> Resume) {
       onChunkBoundary(std::move(Resume));
@@ -296,7 +297,8 @@ void Engine::startSingle(Req *R, bool OnGpu, bool Backfill) {
         OnGpu ? GpuLeaseName : CpuLeaseName,
         formatString("req %llu", static_cast<unsigned long long>(R->Id)));
   R->Exec = std::make_unique<SingleJobExec>(
-      *Ctx, OnGpu ? Ctx->gpu() : Ctx->cpu(), R->T->W, referenceFor(R));
+      *Ctx, OnGpu ? Ctx->gpu() : Ctx->cpu(), R->T->W, hostFor(R),
+      Cfg.Validate);
   R->Exec->start([this, R] { jobDone(R); });
 }
 
@@ -410,10 +412,10 @@ void Engine::jobDone(Req *R) {
   Retiring.push_back(R);
 }
 
-HostReference *Engine::referenceFor(const Req *R) {
-  if (References.empty())
+HostData *Engine::hostFor(const Req *R) {
+  if (Hosts.empty())
     return nullptr;
-  return &References[static_cast<size_t>(R->T - Templates.data())];
+  return &Hosts[static_cast<size_t>(R->T - Templates.data())];
 }
 
 void Engine::retireQuiescent() {

@@ -215,8 +215,8 @@ private:
   bool headIsDag() const;
   void startSingle(Req *R, bool OnGpu, bool Backfill);
   void jobDone(Req *R);
-  /// The host reference of \p R's template when validating, else null.
-  HostReference *referenceFor(const Req *R);
+  /// The host data of \p R's template in functional mode, else null.
+  HostData *hostFor(const Req *R);
   /// Destroys every finished request's executor that is now quiescent.
   void retireQuiescent();
   /// Collects the check diagnostics of \p R's cooperative runtime, if any,
@@ -250,9 +250,9 @@ private:
   /// quiescent destroys it, so a run holds a handful of executors, not one
   /// per completed job.
   std::vector<Req *> Retiring;
-  /// One host reference per template, filled on first use; empty unless
-  /// the run validates functional results.
-  std::vector<HostReference> References;
+  /// One host data per template, filled on first use; empty unless the
+  /// run executes kernels functionally.
+  std::vector<HostData> Hosts;
   /// Check diagnostics harvested so far, each with its request's id.
   uint64_t CheckErrorsN = 0;
   uint64_t CheckWarningsN = 0;

@@ -13,18 +13,33 @@
 using namespace fcl;
 using namespace fcl::serve;
 
-const std::vector<std::vector<std::byte>> &HostReference::get() {
-  if (!Ready) {
-    Bufs = work::initHostData(*W);
-    work::computeReference(*W, Bufs);
-    Ready = true;
+const HostData::Buffers &HostData::image() {
+  if (!Image)
+    Image = work::initHostData(*W);
+  return *Image;
+}
+
+const HostData::Buffers &HostData::reference() {
+  if (!Reference) {
+    Reference = image();
+    work::computeReference(*W, *Reference);
   }
-  return Bufs;
+  return *Reference;
+}
+
+JobExec::JobExec(mcl::Context &Ctx, const work::Workload &W, HostData *Host,
+                 bool Validate)
+    : Ctx(Ctx), W(W), Host(Host), Validate(Validate) {
+  FCL_CHECK(Host || !Ctx.functional(), "functional job without host data");
+}
+
+const void *JobExec::initialData(size_t I) const {
+  return Ctx.functional() ? Host->image()[I].data() : nullptr;
 }
 
 void JobExec::finishJob() {
-  if (Reference && Ctx.functional())
-    ValidationFailed = !work::matchesReference(W, Reference->get(), Results);
+  if (Validate && Ctx.functional())
+    ValidationFailed = !work::matchesReference(W, Host->reference(), Results);
   FCL_CHECK(OnDone, "job finished twice");
   DoneFn Fn = std::move(OnDone);
   OnDone = nullptr;
@@ -34,26 +49,19 @@ void JobExec::finishJob() {
 // --- CoopJobExec -----------------------------------------------------------
 
 CoopJobExec::CoopJobExec(mcl::Context &Ctx, const work::Workload &W,
-                         const fluidicl::Options &Opts,
-                         HostReference *Reference)
-    : JobExec(Ctx, W, Reference),
+                         const fluidicl::Options &Opts, HostData *Host,
+                         bool Validate)
+    : JobExec(Ctx, W, Host, Validate),
       RT(std::make_unique<fluidicl::Runtime>(Ctx, Opts)) {}
 
 void CoopJobExec::start(DoneFn Done) {
   OnDone = std::move(Done);
-  bool Functional = Ctx.functional();
-  // Writes capture their bytes at enqueue time, so the initial data need
-  // not outlive this call.
-  std::vector<std::vector<std::byte>> Init;
-  if (Functional)
-    Init = work::initHostData(W);
   for (size_t I = 0; I < W.Buffers.size(); ++I)
     Ids.push_back(RT->createBuffer(W.Buffers[I].Bytes, W.Buffers[I].Name));
   for (size_t I = 0; I < W.Buffers.size(); ++I)
-    RT->writeBuffer(Ids[I], Functional ? Init[I].data() : nullptr,
-                    W.Buffers[I].Bytes);
+    RT->writeBuffer(Ids[I], initialData(I), W.Buffers[I].Bytes);
   Results.resize(W.ResultBuffers.size());
-  if (Functional)
+  if (Ctx.functional())
     for (size_t R = 0; R < W.ResultBuffers.size(); ++R)
       Results[R].resize(W.Buffers[W.ResultBuffers[R]].Bytes);
   launchNext();
@@ -91,16 +99,13 @@ void CoopJobExec::readNext() {
 // --- SingleJobExec ---------------------------------------------------------
 
 SingleJobExec::SingleJobExec(mcl::Context &Ctx, mcl::Device &Dev,
-                             const work::Workload &W,
-                             HostReference *Reference)
-    : JobExec(Ctx, W, Reference), Dev(Dev) {}
+                             const work::Workload &W, HostData *Host,
+                             bool Validate)
+    : JobExec(Ctx, W, Host, Validate), Dev(Dev) {}
 
 void SingleJobExec::start(DoneFn Done) {
   OnDone = std::move(Done);
   bool Functional = Ctx.functional();
-  std::vector<std::vector<std::byte>> Init;
-  if (Functional)
-    Init = work::initHostData(W);
   Q = Ctx.createQueue(Dev, "serve-single");
   Duration Api = Ctx.machine().Host.ApiCallOverhead;
   for (const work::BufferSpec &Spec : W.Buffers) {
@@ -109,8 +114,7 @@ void SingleJobExec::start(DoneFn Done) {
   }
   for (size_t I = 0; I < W.Buffers.size(); ++I) {
     Ctx.hostAdvance(Api);
-    Q->enqueueWrite(*Bufs[I], Functional ? Init[I].data() : nullptr,
-                    W.Buffers[I].Bytes);
+    Q->enqueueWrite(*Bufs[I], initialData(I), W.Buffers[I].Bytes);
   }
   for (const work::KernelCall &Call : W.Calls) {
     Ctx.hostAdvance(Api);

@@ -36,26 +36,31 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace fcl {
 namespace serve {
 
-/// The host reference of one job template: its buffers after the
-/// template's workload ran on the host from its initial data
-/// (work::initHostData, a pure function of the buffer specs). Computed on
-/// first use and shared by every validated job of that template; an engine
-/// owns one per template, so no lock is needed.
-class HostReference {
+/// One job template's host data, shared by every functional job of that
+/// template and built on first use: the initial buffer image
+/// (work::initHostData, a pure function of the buffer specs) that jobs
+/// write from, and the host reference (the buffers after the template's
+/// workload ran on the host from that image) that validated jobs compare
+/// with. An engine owns one per template, so no lock is needed.
+class HostData {
 public:
-  explicit HostReference(const work::Workload &W) : W(&W) {}
+  using Buffers = std::vector<std::vector<std::byte>>;
 
-  const std::vector<std::vector<std::byte>> &get();
+  explicit HostData(const work::Workload &W) : W(&W) {}
+
+  const Buffers &image();
+  const Buffers &reference();
 
 private:
   const work::Workload *W;
-  std::vector<std::vector<std::byte>> Bufs;
-  bool Ready = false;
+  std::optional<Buffers> Image;
+  std::optional<Buffers> Reference;
 };
 
 /// Base of the executor shapes (dag::DagJobExec is the third). Lifetime:
@@ -88,11 +93,15 @@ public:
   virtual fluidicl::Runtime *fclRuntime() { return nullptr; }
 
 protected:
-  /// \p Reference is the template's host reference when the job validates
-  /// its results, else null.
-  JobExec(mcl::Context &Ctx, const work::Workload &W,
-          HostReference *Reference)
-      : Ctx(Ctx), W(W), Reference(Reference) {}
+  /// \p Host is the template's host data, required in functional mode
+  /// and null otherwise; \p Validate checks the results against its
+  /// reference.
+  JobExec(mcl::Context &Ctx, const work::Workload &W, HostData *Host,
+          bool Validate);
+
+  /// The initial data to write into buffer \p I: null in timing-only
+  /// mode.
+  const void *initialData(size_t I) const;
 
   /// Ends the job: with validation on in functional mode, checks Results
   /// against the reference (work::matchesReference), then fires OnDone
@@ -101,7 +110,8 @@ protected:
 
   mcl::Context &Ctx;
   const work::Workload &W;
-  HostReference *Reference;
+  HostData *Host;
+  bool Validate;
   /// One vector per W.ResultBuffers entry (functional mode only).
   std::vector<std::vector<std::byte>> Results;
   DoneFn OnDone;
@@ -112,7 +122,7 @@ protected:
 class CoopJobExec final : public JobExec {
 public:
   CoopJobExec(mcl::Context &Ctx, const work::Workload &W,
-              const fluidicl::Options &Opts, HostReference *Reference);
+              const fluidicl::Options &Opts, HostData *Host, bool Validate);
 
   void start(DoneFn OnDone) override;
   bool quiescent() const override { return RT->quiescent(); }
@@ -137,7 +147,7 @@ private:
 class SingleJobExec final : public JobExec {
 public:
   SingleJobExec(mcl::Context &Ctx, mcl::Device &Dev, const work::Workload &W,
-                HostReference *Reference);
+                HostData *Host, bool Validate);
 
   void start(DoneFn OnDone) override;
   bool quiescent() const override { return Q->idle(); }

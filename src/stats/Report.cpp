@@ -127,17 +127,8 @@ uint64_t RunReport::cpuWorkGroupsWasted() const {
 void RunReport::addUtilizationFromTracer(const trace::Tracer &T,
                                          Duration WallTime) {
   Utilization.clear();
-  // Lanes in first-appearance order, matching the trace's tid assignment.
-  std::vector<std::string> Lanes;
-  for (const trace::TraceEvent &E : T.events()) {
-    bool Seen = false;
-    for (const std::string &L : Lanes)
-      if (L == E.Lane)
-        Seen = true;
-    if (!Seen)
-      Lanes.push_back(E.Lane);
-  }
-  for (const std::string &Lane : Lanes) {
+  // Lanes in tid (first-appearance) order, as the trace lists them.
+  for (const std::string &Lane : T.lanes()) {
     LaneUtilization U;
     U.Lane = Lane;
     U.Busy = T.laneBusy(Lane);

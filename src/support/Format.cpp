@@ -12,12 +12,17 @@
 using namespace fcl;
 
 std::string fcl::formatStringV(const char *Fmt, va_list Args) {
+  // One pass into a stack buffer covers nearly every call; only a longer
+  // result is measured by that pass and formatted again at its size.
+  char Buf[256];
   va_list Copy;
   va_copy(Copy, Args);
-  int Needed = std::vsnprintf(nullptr, 0, Fmt, Copy);
+  int Needed = std::vsnprintf(Buf, sizeof(Buf), Fmt, Copy);
   va_end(Copy);
   if (Needed <= 0)
     return std::string();
+  if (static_cast<size_t>(Needed) < sizeof(Buf))
+    return std::string(Buf, static_cast<size_t>(Needed));
   std::string Result(static_cast<size_t>(Needed), '\0');
   std::vsnprintf(Result.data(), Result.size() + 1, Fmt, Args);
   return Result;
@@ -31,41 +36,40 @@ std::string fcl::formatString(const char *Fmt, ...) {
   return Result;
 }
 
-std::string fcl::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  appendJsonEscaped(Out, S);
-  return Out;
-}
-
 void fcl::appendJsonEscaped(std::string &Out, std::string_view S) {
-  for (char C : S) {
+  // Copy runs of plain bytes whole; only the bytes JSON needs escaped are
+  // handled one at a time.
+  size_t Plain = 0;
+  for (size_t I = 0; I < S.size(); ++I) {
+    unsigned char C = static_cast<unsigned char>(S[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(S.data() + Plain, I - Plain);
+    Plain = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
-      continue;
+      break;
     case '\\':
       Out += "\\\\";
-      continue;
+      break;
     case '\n':
       Out += "\\n";
-      continue;
+      break;
     case '\t':
       Out += "\\t";
-      continue;
+      break;
     case '\r':
       Out += "\\r";
-      continue;
-    default:
       break;
+    default: {
+      const char Hex[] = "0123456789abcdef";
+      char U[6] = {'\\', 'u', '0', '0', Hex[C >> 4], Hex[C & 0xf]};
+      Out.append(U, sizeof(U));
     }
-    if (static_cast<unsigned char>(C) < 0x20) {
-      Out += formatString("\\u%04x", static_cast<unsigned>(
-                                         static_cast<unsigned char>(C)));
-      continue;
     }
-    Out += C;
   }
+  Out.append(S.data() + Plain, S.size() - Plain);
 }
 
 bool fcl::writeFile(const std::string &Path, std::string_view Contents) {

@@ -29,14 +29,11 @@ __attribute__((format(printf, 1, 2)))
 #endif
 std::string formatString(const char *Fmt, ...);
 
-/// Escapes \p S for inclusion inside a JSON string literal: quotes and
-/// backslashes are backslash-escaped, control characters become \uXXXX.
-/// Shared by every JSON emitter (JsonWriter, the Chrome trace) so no
-/// interpolation site can produce invalid JSON from a hostile kernel or
-/// buffer name.
-std::string jsonEscape(const std::string &S);
-
-/// Appends jsonEscape(S) to \p Out.
+/// Appends \p S to \p Out escaped for inclusion inside a JSON string
+/// literal: quotes and backslashes are backslash-escaped, control
+/// characters become \uXXXX. Shared by every JSON emitter (JsonWriter, the
+/// Chrome trace) so no interpolation site can produce invalid JSON from a
+/// hostile kernel or buffer name.
 void appendJsonEscaped(std::string &Out, std::string_view S);
 
 /// Writes \p Contents to \p Path byte for byte; false if the file cannot

@@ -40,9 +40,9 @@ DagStats runOne(const work::Workload &W, Placement P,
   mcl::Context Ctx(hw::paperMachine(), Mode);
   Graph G = graphOf(W);
   DagStats S;
-  serve::HostReference Ref(W);
-  DagJobExec E(Ctx, W, G, P,
-               Mode == mcl::ExecMode::Functional ? &Ref : nullptr, &S,
+  serve::HostData Host(W);
+  bool Functional = Mode == mcl::ExecMode::Functional;
+  DagJobExec E(Ctx, W, G, P, Functional ? &Host : nullptr, Functional, &S,
                nullptr);
   int DoneCount = 0;
   E.start([&DoneCount] { ++DoneCount; });
@@ -211,8 +211,8 @@ TEST(DagExecTest, TracerGetsOneSlicePerNode) {
   work::Workload W = makeDiamond(32);
   Graph G = graphOf(W);
   trace::Tracer T;
-  DagJobExec E(Ctx, W, G, Placement::Residency, /*Reference=*/nullptr,
-               nullptr, &T);
+  DagJobExec E(Ctx, W, G, Placement::Residency, /*Host=*/nullptr,
+               /*Validate=*/false, nullptr, &T);
   bool Done = false;
   E.start([&Done] { Done = true; });
   Ctx.simulator().run();

@@ -86,6 +86,16 @@ TEST(FormatTest, EmptyAndLong) {
   EXPECT_EQ(formatString("%s", Long.c_str()), Long);
 }
 
+TEST(FormatTest, StackBufferBoundary) {
+  // formatStringV formats into a 256-byte stack buffer: 255 characters
+  // and the terminator fit, and a longer result takes a second pass that
+  // must read the same arguments again.
+  for (size_t Len : {254u, 255u, 256u, 257u}) {
+    std::string Body(Len - 1, 'b');
+    EXPECT_EQ(formatString("%s%d", Body.c_str(), 7), Body + "7");
+  }
+}
+
 // --- Rng -----------------------------------------------------------------------
 
 TEST(RngTest, DeterministicForSameSeed) {
@@ -264,7 +274,9 @@ TEST(JsonWriterTest, EscapesKeysAndStrings) {
       .array("s", JsonWriter::Inline);
   W.str("\r").end().end();
   EXPECT_EQ(Out, "{\"k\\\"\\\\\": \"a\\tb\\u0001\\n\", \"s\": [\"\\r\"]}\n");
-  EXPECT_EQ(jsonEscape("q\"\x1f"), "q\\\"\\u001f");
+  std::string Escaped;
+  appendJsonEscaped(Escaped, "q\"\x1f");
+  EXPECT_EQ(Escaped, "q\\\"\\u001f");
 }
 
 TEST(JsonWriterTest, FlushEmbedsDocumentsAtColumnZero) {

@@ -48,6 +48,37 @@ TEST(TracerTest, ClearEmpties) {
   EXPECT_EQ(T.size(), 0u);
 }
 
+TEST(TracerTest, ClearRestartsTidsAtFirstAppearance) {
+  Tracer T;
+  T.record("a", "x", TimePoint(0), TimePoint(1));
+  T.clear();
+  T.record("b", "y", TimePoint(0), TimePoint(1));
+  T.record("a", "z", TimePoint(0), TimePoint(1));
+  EXPECT_EQ(T.lanes(), (std::vector<std::string>{"b", "a"}));
+  std::string Json = T.renderChromeTrace();
+  EXPECT_NE(Json.find("\"tid\":0,\"name\":\"thread_name\",\"args\":{\"name\":"
+                      "\"b\"}"),
+            std::string::npos);
+  EXPECT_NE(Json.find("\"tid\":1,\"name\":\"thread_name\",\"args\":{\"name\":"
+                      "\"a\"}"),
+            std::string::npos);
+}
+
+TEST(TracerTest, SliceTextMayViewALaneName) {
+  // Each new lane grows the lane table, moving a short lane name's inline
+  // characters; a name or detail viewing them must be copied first (the
+  // sanitizer build turns a late copy into a use-after-free).
+  Tracer T;
+  T.record("a", "x", TimePoint(0), TimePoint(1));
+  for (int I = 0; I < 40; ++I)
+    T.record("lane" + std::to_string(I), T.lanes()[0], TimePoint(0),
+             TimePoint(1), T.lanes()[0]);
+  std::vector<TraceEvent> E = T.laneEvents("lane39");
+  ASSERT_EQ(E.size(), 1u);
+  EXPECT_EQ(E[0].Name, "a");
+  EXPECT_EQ(E[0].Detail, "a");
+}
+
 TEST(TracerDeathTest, RejectsBackwardsSlice) {
   Tracer T;
   EXPECT_DEATH(T.record("a", "x", TimePoint(10), TimePoint(5)), "ends");
