@@ -21,16 +21,21 @@
 using namespace fcl;
 using namespace fcl::dag;
 
+/// A fresh fcl::race critical-section name per executor: callbacks from
+/// both device queues, and the executor's host steps, mutate its state.
+static std::string nextRaceSec() {
+  static std::atomic<uint64_t> NextRaceId{0};
+  return formatString("serve.dagexec#%llu",
+                      static_cast<unsigned long long>(NextRaceId++));
+}
+
 DagJobExec::DagJobExec(mcl::Context &Ctx, const work::Workload &W,
                        const Graph &G, Placement Place,
                        serve::HostData *Host, bool Validate,
                        DagStats *Stats, trace::Tracer *Trace)
-    : JobExec(Ctx, W, Host, Validate), G(G), Place(Place), Stats(Stats),
-      Trace(Trace), Res(W.Buffers.size()) {
+    : JobExec(Ctx, W, Host, Validate, nextRaceSec()), G(G), Place(Place),
+      Stats(Stats), Trace(Trace), Res(W.Buffers.size()) {
   FCL_CHECK(G.size() == W.Calls.size(), "graph does not describe workload");
-  static std::atomic<uint64_t> NextRaceId{0};
-  RaceSec = formatString("serve.dagexec#%llu",
-                         static_cast<unsigned long long>(NextRaceId++));
 }
 
 DagJobExec::~DagJobExec() = default;
@@ -63,18 +68,14 @@ void DagJobExec::start(DoneFn Done) {
 }
 
 void DagJobExec::pump() {
-  if (Pumping)
+  if (Launching || ReadyList.empty())
     return;
-  Pumping = true;
-  while (!ReadyList.empty()) {
-    // Lowest node index first: deterministic launch order regardless of
-    // which completion unblocked what.
-    auto It = std::min_element(ReadyList.begin(), ReadyList.end());
-    size_t N = *It;
-    ReadyList.erase(It);
-    launchNode(N);
-  }
-  Pumping = false;
+  // Lowest node index first: deterministic launch order regardless of
+  // which completion unblocked what.
+  auto It = std::min_element(ReadyList.begin(), ReadyList.end());
+  size_t N = *It;
+  ReadyList.erase(It);
+  launchNode(N);
 }
 
 bool DagJobExec::pciePriced(size_t D) const {
@@ -90,98 +91,131 @@ void DagJobExec::accountTransfer(size_t D, uint64_t Bytes) {
     Stats->PcieBytes += Bytes;
 }
 
-mcl::Buffer &DagJobExec::deviceBuf(size_t B, size_t D) {
-  if (!Bufs[B][D]) {
-    Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-    mcl::Device &Dev = D == GpuIdx ? Ctx.gpu() : Ctx.cpu();
-    Bufs[B][D] = Ctx.createBuffer(Dev, W.Buffers[B].Bytes, W.Buffers[B].Name);
-  }
-  return *Bufs[B][D];
-}
-
 void DagJobExec::launchNode(size_t N) {
-  const Node &Nd = G.node(N);
+  Launching = true;
   size_t D = pickDevice(N);
   NodeDevice[N] = D;
   NodeStart[N] = Ctx.now();
   NodeEstNs[N] = transferNs(N, D) + computeNs(N, D);
   BacklogNs[D] += NodeEstNs[N];
-  bool Functional = Ctx.functional();
-  Duration Api = Ctx.machine().Host.ApiCallOverhead;
-
   // Materialize every touched buffer on the chosen device, then stage the
   // inputs the device does not already hold. The in-order queue guarantees
   // the kernel observes all of them.
   //
-  // FetchesLeft starts at one - a launch token this function holds while it
-  // enqueues: hostAdvance() runs due simulator events, so a fetch issued
-  // early in the loop can complete before the loop ends, and without the
+  // FetchesLeft starts at one - a launch token the launch calls hold until
+  // the last is issued: other events fire between those host steps, so a
+  // fetch issued early can land before the last call, and without the
   // token its callback would see a zero count and enqueue the kernel a
   // second time.
   FetchesLeft[N] = 1;
-  for (size_t B : Nd.Writes)
-    deviceBuf(B, D);
-  for (size_t B : Nd.Reads) {
-    mcl::Buffer &Dst = deviceBuf(B, D);
-    uint64_t Bytes = W.Buffers[B].Bytes;
-    if (Place == Placement::Residency && Res.has(B, devLoc(D))) {
-      // Already resident where the node runs: the core saving.
-      if (Stats) {
-        ++Stats->TransfersSkipped;
-        Stats->BytesSaved += Bytes;
-      }
-      continue;
+  launchStep(N, 0);
+}
+
+void DagJobExec::launchStep(size_t N, size_t I) {
+  const Node &Nd = G.node(N);
+  size_t D = NodeDevice[N];
+  size_t NumWrites = Nd.Writes.size();
+  if (I == NumWrites + Nd.Reads.size()) {
+    launchDone(N);
+    return;
+  }
+  size_t B = I < NumWrites ? Nd.Writes[I] : Nd.Reads[I - NumWrites];
+  const hw::HostModel &Host = Ctx.machine().Host;
+  uint64_t Bytes = W.Buffers[B].Bytes;
+  if (!Bufs[B][D]) {
+    Steps.then(Host.ApiCallOverhead + Host.bufferCreateTime(Bytes),
+             [this, N, I, B, D] {
+               mcl::Device &Dev = D == GpuIdx ? Ctx.gpu() : Ctx.cpu();
+               Bufs[B][D] = Ctx.createBuffer(Dev, W.Buffers[B].Bytes,
+                                             W.Buffers[B].Name);
+               launchStep(N, I);
+             });
+    return;
+  }
+  if (I < NumWrites) {
+    launchStep(N, I + 1);
+    return;
+  }
+  if (Place == Placement::Residency && Res.has(B, devLoc(D))) {
+    // Already resident where the node runs: the core saving.
+    if (Stats) {
+      ++Stats->TransfersSkipped;
+      Stats->BytesSaved += Bytes;
     }
-    if (Place == Placement::Blind || Res.has(B, Loc::Host)) {
-      // Blind always re-uploads from the host (whose copy blind's per-node
-      // readbacks keep current); residency uploads only when the host
-      // holds the freshest version.
-      Ctx.hostAdvance(Api);
-      Qs[D]->enqueueWrite(Dst, Functional ? Stage[B].data() : nullptr, Bytes);
+    launchStep(N, I + 1);
+    return;
+  }
+  if (Place == Placement::Blind || Res.has(B, Loc::Host)) {
+    // Blind always re-uploads from the host (whose copy blind's per-node
+    // readbacks keep current); residency uploads only when the host holds
+    // the freshest version.
+    Steps.then(Host.ApiCallOverhead, [this, N, I, B, D, Bytes] {
+      Qs[D]->enqueueWrite(*Bufs[B][D],
+                          Ctx.functional() ? Stage[B].data() : nullptr,
+                          Bytes);
       accountTransfer(D, Bytes);
       Res.noteCopy(B, devLoc(D));
-      continue;
-    }
-    // Current version lives only on the other device: fetch through the
-    // host (device-to-device goes via PCIe + host memory, as in OpenCL 1.x
-    // without peer copies). The kernel waits for all fetches to land.
-    size_t E = 1 - D;
-    FCL_CHECK(Res.has(B, devLoc(E)), "buffer resident nowhere");
-    ++FetchesLeft[N];
-    Ctx.hostAdvance(Api);
+      launchStep(N, I + 1);
+    });
+    return;
+  }
+  // Current version lives only on the other device: fetch through the
+  // host (device-to-device goes via PCIe + host memory, as in OpenCL 1.x
+  // without peer copies). The kernel waits for all fetches to land.
+  size_t E = 1 - D;
+  FCL_CHECK(Res.has(B, devLoc(E)), "buffer resident nowhere");
+  ++FetchesLeft[N];
+  Steps.then(Host.ApiCallOverhead, [this, N, I, B, D, E, Bytes] {
     mcl::EventPtr Ev = Qs[E]->enqueueRead(
-        *Bufs[B][E], Functional ? Stage[B].data() : nullptr, Bytes);
+        *Bufs[B][E], Ctx.functional() ? Stage[B].data() : nullptr, Bytes);
     accountTransfer(E, Bytes);
     Ev->onComplete([this, N, B, D, Bytes] {
       race::Section RaceS(RaceSec);
-      Res.noteCopy(B, Loc::Host);
-      Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-      Qs[D]->enqueueWrite(*Bufs[B][D],
-                          Ctx.functional() ? Stage[B].data() : nullptr, Bytes);
-      accountTransfer(D, Bytes);
-      Res.noteCopy(B, devLoc(D));
-      if (--FetchesLeft[N] == 0)
-        enqueueKernelNode(N);
+      fetchLanded(N, B, D, Bytes);
     });
-  }
-  if (--FetchesLeft[N] == 0)
-    enqueueKernelNode(N);
+    launchStep(N, I + 1);
+  });
 }
 
-void DagJobExec::enqueueKernelNode(size_t N) {
-  const work::KernelCall &Call = W.Calls[N];
-  size_t D = NodeDevice[N];
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  mcl::LaunchDesc Desc;
-  Desc.Kernel = &kern::Registry::builtin().get(Call.Kernel);
-  Desc.Range = Call.Range;
-  for (const runtime::KArg &A : Call.Args)
-    Desc.Args.push_back(A.toLaunchArg(
-        [&](runtime::BufferId Id) { return Bufs[Id][D].get(); }));
-  mcl::EventPtr Ev = Qs[D]->enqueueKernel(std::move(Desc));
-  Ev->onComplete([this, N] {
-    race::Section RaceS(RaceSec);
-    onKernelComplete(N);
+void DagJobExec::fetchLanded(size_t N, size_t B, size_t D, uint64_t Bytes) {
+  Res.noteCopy(B, Loc::Host);
+  Steps.then(Ctx.machine().Host.ApiCallOverhead, [this, N, B, D, Bytes] {
+    Qs[D]->enqueueWrite(*Bufs[B][D],
+                        Ctx.functional() ? Stage[B].data() : nullptr, Bytes);
+    accountTransfer(D, Bytes);
+    Res.noteCopy(B, devLoc(D));
+    if (--FetchesLeft[N] == 0)
+      enqueueKernelNode(N, [] {});
+  });
+}
+
+void DagJobExec::launchDone(size_t N) {
+  auto Next = [this] {
+    Launching = false;
+    pump();
+  };
+  if (--FetchesLeft[N] == 0)
+    enqueueKernelNode(N, Next);
+  else
+    Next();
+}
+
+template <class Fn> void DagJobExec::enqueueKernelNode(size_t N, Fn Then) {
+  Steps.then(Ctx.machine().Host.ApiCallOverhead, [this, N, Then] {
+    const work::KernelCall &Call = W.Calls[N];
+    size_t D = NodeDevice[N];
+    mcl::LaunchDesc Desc;
+    Desc.Kernel = &kern::Registry::builtin().get(Call.Kernel);
+    Desc.Range = Call.Range;
+    for (const runtime::KArg &A : Call.Args)
+      Desc.Args.push_back(A.toLaunchArg(
+          [&](runtime::BufferId Id) { return Bufs[Id][D].get(); }));
+    mcl::EventPtr Ev = Qs[D]->enqueueKernel(std::move(Desc));
+    Ev->onComplete([this, N] {
+      race::Section RaceS(RaceSec);
+      onKernelComplete(N);
+    });
+    Then();
   });
 }
 
@@ -203,15 +237,16 @@ void DagJobExec::onKernelComplete(size_t N) {
   if (Place == Placement::Blind) {
     // Independent-job semantics: every output returns to the host before
     // any consumer may start, exactly what separate jobs would pay.
-    bool Functional = Ctx.functional();
-    for (size_t B : Nd.Writes) {
-      Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-      Qs[D]->enqueueRead(*Bufs[B][D],
-                         Functional ? Stage[B].data() : nullptr,
-                         W.Buffers[B].Bytes);
-      accountTransfer(D, W.Buffers[B].Bytes);
-      Res.noteCopy(B, Loc::Host);
-    }
+    readBackStep(N, 0);
+    return;
+  }
+  nodeRetired(N);
+}
+
+void DagJobExec::readBackStep(size_t N, size_t I) {
+  const Node &Nd = G.node(N);
+  size_t D = NodeDevice[N];
+  if (I == Nd.Writes.size()) {
     mcl::EventPtr Tail = Qs[D]->enqueueCallback([] {});
     Tail->onComplete([this, N] {
       race::Section RaceS(RaceSec);
@@ -219,7 +254,15 @@ void DagJobExec::onKernelComplete(size_t N) {
     });
     return;
   }
-  nodeRetired(N);
+  Steps.then(Ctx.machine().Host.ApiCallOverhead, [this, N, I, D] {
+    size_t B = G.node(N).Writes[I];
+    Qs[D]->enqueueRead(*Bufs[B][D],
+                       Ctx.functional() ? Stage[B].data() : nullptr,
+                       W.Buffers[B].Bytes);
+    accountTransfer(D, W.Buffers[B].Bytes);
+    Res.noteCopy(B, Loc::Host);
+    readBackStep(N, I + 1);
+  });
 }
 
 void DagJobExec::nodeRetired(size_t N) {
@@ -228,39 +271,42 @@ void DagJobExec::nodeRetired(size_t N) {
     if (--Indegree[S] == 0)
       ReadyList.push_back(S);
   if (DoneN == G.size()) {
-    finishDag();
+    finishStep(0);
     return;
   }
   pump();
 }
 
-void DagJobExec::finishDag() {
-  bool Functional = Ctx.functional();
-  for (size_t R = 0; R < W.ResultBuffers.size(); ++R) {
-    size_t B = W.ResultBuffers[R];
-    if (Res.has(B, Loc::Host)) {
-      // Blind already read every output back per node; no further cost.
-      if (Functional)
-        Results[R] = Stage[B];
-      continue;
+void DagJobExec::finishStep(size_t R) {
+  if (R == W.ResultBuffers.size()) {
+    TailsLeft = Qs.size();
+    for (auto &Q : Qs) {
+      mcl::EventPtr Tail = Q->enqueueCallback([] {});
+      Tail->onComplete([this] {
+        race::Section RaceS(RaceSec);
+        if (--TailsLeft == 0)
+          finishJob();
+      });
     }
-    size_t D = Res.has(B, devLoc(GpuIdx)) ? GpuIdx : CpuIdx;
-    Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
+    return;
+  }
+  size_t B = W.ResultBuffers[R];
+  if (Res.has(B, Loc::Host)) {
+    // Blind already read every output back per node; no further cost.
+    if (Ctx.functional())
+      Results[R] = Stage[B];
+    finishStep(R + 1);
+    return;
+  }
+  size_t D = Res.has(B, devLoc(GpuIdx)) ? GpuIdx : CpuIdx;
+  Steps.then(Ctx.machine().Host.ApiCallOverhead, [this, R, B, D] {
     Qs[D]->enqueueRead(*Bufs[B][D],
-                       Functional ? Results[R].data() : nullptr,
+                       Ctx.functional() ? Results[R].data() : nullptr,
                        W.Buffers[B].Bytes);
     accountTransfer(D, W.Buffers[B].Bytes);
     Res.noteCopy(B, Loc::Host);
-  }
-  TailsLeft = Qs.size();
-  for (auto &Q : Qs) {
-    mcl::EventPtr Tail = Q->enqueueCallback([] {});
-    Tail->onComplete([this] {
-      race::Section RaceS(RaceSec);
-      if (--TailsLeft == 0)
-        finishJob();
-    });
-  }
+    finishStep(R + 1);
+  });
 }
 
 // --- Placement scoring ------------------------------------------------------

@@ -55,7 +55,7 @@ public:
 
   void start(DoneFn OnDone) override;
   bool quiescent() const override {
-    return Qs[GpuIdx]->idle() && Qs[CpuIdx]->idle();
+    return Steps.idle() && Qs[GpuIdx]->idle() && Qs[CpuIdx]->idle();
   }
 
 private:
@@ -63,18 +63,35 @@ private:
   static constexpr size_t CpuIdx = 1;
   static Loc devLoc(size_t D) { return D == GpuIdx ? Loc::Gpu : Loc::Cpu; }
 
+  /// Launches the lowest ready node unless another node's launch calls
+  /// are still being issued: the job's host issues one node's calls at a
+  /// time, and launchDone() comes back here for the next one.
   void pump();
   void launchNode(size_t N);
-  void enqueueKernelNode(size_t N);
+  /// Issues node \p N's buffer call \p I (its writes, then its reads): a
+  /// missing device buffer is created first, then a read is skipped,
+  /// uploaded or fetched across devices. Each API call is one host step.
+  void launchStep(size_t N, size_t I);
+  /// Node \p N's last launch call is issued: its kernel is enqueued unless
+  /// fetches are still in flight, and the next ready node launches.
+  void launchDone(size_t N);
+  void fetchLanded(size_t N, size_t B, size_t D, uint64_t Bytes);
+  /// Enqueues node \p N's kernel after one API call's host time, then runs
+  /// \p Then.
+  template <class Fn> void enqueueKernelNode(size_t N, Fn Then);
   void onKernelComplete(size_t N);
+  /// Blind placement's read-back of node \p N's write \p I, one API call
+  /// each; after the last, the node retires once the reads land.
+  void readBackStep(size_t N, size_t I);
   void nodeRetired(size_t N);
-  void finishDag();
+  /// Reads result buffer \p R back to the host unless the host holds it,
+  /// one API call each; after the last, the job finishes when both queues
+  /// drain.
+  void finishStep(size_t R);
 
   /// Whether transfers touching device \p D cross the PCIe link.
   bool pciePriced(size_t D) const;
   void accountTransfer(size_t D, uint64_t Bytes);
-  /// Ensures a device buffer exists for workload buffer \p B on \p D.
-  mcl::Buffer &deviceBuf(size_t B, size_t D);
 
   /// Estimated nanoseconds to run node \p N's kernel on device \p D.
   double computeNs(size_t N, size_t D) const;
@@ -106,14 +123,12 @@ private:
   /// can be enqueued.
   std::vector<size_t> FetchesLeft;
   std::vector<size_t> ReadyList;
-  bool Pumping = false;
+  /// True while a node's launch calls are being issued.
+  bool Launching = false;
   /// Estimated nanoseconds of work already committed to each device.
   double BacklogNs[2] = {0, 0};
   size_t DoneN = 0;
   size_t TailsLeft = 0;
-  /// fcl::race critical-section name: callbacks from both device queues
-  /// mutate this executor's state.
-  std::string RaceSec;
 };
 
 } // namespace dag

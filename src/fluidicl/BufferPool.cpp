@@ -22,9 +22,11 @@ void BufferPool::raceWrite(const char *What) const {
 BufferPool::BufferPool(mcl::Context &Ctx, mcl::Device &Dev, bool Enabled)
     : Ctx(Ctx), Dev(Dev), Enabled(Enabled) {}
 
-mcl::Buffer *BufferPool::acquire(uint64_t Size) {
+mcl::Buffer *BufferPool::acquire(uint64_t Size, Duration *CreateTime) {
   raceWrite("acquire");
   FCL_CHECK(Size > 0, "zero-sized pool request");
+  if (CreateTime)
+    *CreateTime = Duration::zero();
   if (Enabled) {
     // Smallest free buffer that fits.
     size_t BestIdx = Free.size();
@@ -44,6 +46,8 @@ mcl::Buffer *BufferPool::acquire(uint64_t Size) {
   }
   ++Misses;
   BytesCreated += Size;
+  if (CreateTime)
+    *CreateTime = Ctx.machine().Host.bufferCreateTime(Size);
   InUse.push_back(Ctx.createBuffer(Dev, Size, "fcl-pool"));
   return InUse.back().get();
 }

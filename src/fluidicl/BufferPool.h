@@ -38,9 +38,10 @@ public:
   /// Shadow-object name for the fcl::race analyzer (empty disables).
   void setRaceObject(std::string Name) { RaceObj = std::move(Name); }
 
-  /// Returns a buffer with size() >= \p Size. May create a new one
-  /// (charging the driver's buffer-creation overhead).
-  mcl::Buffer *acquire(uint64_t Size);
+  /// Returns a buffer with size() >= \p Size. A miss creates a new one and
+  /// sets *\p CreateTime (when given) to the driver's buffer-creation
+  /// overhead, which the caller charges as host time; a hit sets it to zero.
+  mcl::Buffer *acquire(uint64_t Size, Duration *CreateTime = nullptr);
 
   /// Returns \p Buf to the pool (or destroys it when pooling is disabled).
   void release(mcl::Buffer *Buf);

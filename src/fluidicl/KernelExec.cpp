@@ -32,7 +32,6 @@ KernelExec::KernelExec(Runtime &RT, const kern::KernelInfo &Kernel,
   Stats.CpuKernelUsed = Kernel.Name;
   Stats.KernelId = KernelId;
   Stats.TotalGroups = TotalGroups;
-  YieldGuardName = RT.RaceSec + ".yield#" + std::to_string(KernelId);
 }
 
 mcl::LaunchDesc KernelExec::buildDesc(const kern::KernelInfo &K,
@@ -48,14 +47,6 @@ mcl::LaunchDesc KernelExec::buildDesc(const kern::KernelInfo &K,
   return Desc;
 }
 
-void KernelExec::run() {
-  start(nullptr);
-  // Block the application until the kernel is complete (paper section 7:
-  // kernel execution calls are blocking).
-  RT.Ctx.simulator().runWhileNot([this] { return AppComplete; });
-  FCL_CHECK(AppComplete, "kernel execution stalled");
-}
-
 void KernelExec::start(std::function<void()> Done) {
   FCL_PROF_SCOPE("fcl.launch_setup");
   OnDone = std::move(Done);
@@ -65,7 +56,6 @@ void KernelExec::start(std::function<void()> Done) {
   // orig/cpu-data scratch and merging), and which must be current on the
   // CPU before subkernels may start (section 5.3). The required versions
   // are captured *before* this kernel bumps its out buffers.
-  std::vector<std::pair<uint32_t, uint64_t>> Gate;
   for (size_t I = 0; I < Args.size(); ++I) {
     if (!Args[I].IsBuffer)
       continue;
@@ -111,18 +101,42 @@ void KernelExec::start(std::function<void()> Done) {
   // (section 4.3). The snapshot copy is ordered before the kernel on the
   // in-order application queue.
   if (CooperativeAllowed) {
-    for (OutBinding &O : Outs) {
-      O.Orig = RT.Pool.acquire(O.B->Size);
-      O.CpuData = RT.Pool.acquire(O.B->Size);
-      RT.GpuAppQueue->enqueueCopy(*O.B->GpuBuf, *O.Orig, O.B->Size);
-      // With region transfers only the touched bands arrive from the CPU;
-      // seed the rest of CpuData with the pre-image so the merge diff sees
-      // "unchanged" everywhere else.
-      if (UseRegionTransfers)
-        RT.GpuAppQueue->enqueueCopy(*O.B->GpuBuf, *O.CpuData, O.B->Size);
-    }
+    acquireScratch(0);
+    return;
   }
+  launchBothSides();
+}
 
+void KernelExec::acquireScratch(size_t K) {
+  if (K == 2 * Outs.size()) {
+    launchBothSides();
+    return;
+  }
+  OutBinding &O = Outs[K / 2];
+  Duration CreateTime;
+  (K % 2 == 0 ? O.Orig : O.CpuData) = RT.Pool.acquire(O.B->Size, &CreateTime);
+  auto Next = [Self = shared_from_this(), K] {
+    if (K % 2 == 1)
+      Self->enqueueSnapshot(Self->Outs[K / 2]);
+    Self->acquireScratch(K + 1);
+  };
+  // A pool hit costs no host time; a miss creates a buffer.
+  if (CreateTime > Duration::zero())
+    RT.Steps.then(CreateTime, std::move(Next));
+  else
+    Next();
+}
+
+void KernelExec::enqueueSnapshot(OutBinding &O) {
+  RT.GpuAppQueue->enqueueCopy(*O.B->GpuBuf, *O.Orig, O.B->Size);
+  // With region transfers only the touched bands arrive from the CPU;
+  // seed the rest of CpuData with the pre-image so the merge diff sees
+  // "unchanged" everywhere else.
+  if (UseRegionTransfers)
+    RT.GpuAppQueue->enqueueCopy(*O.B->GpuBuf, *O.CpuData, O.B->Size);
+}
+
+void KernelExec::launchBothSides() {
   launchGpuKernel();
 
   if (CooperativeAllowed && TotalGroups > 0) {
@@ -444,10 +458,6 @@ void KernelExec::maybeContinueCpu() {
   // at resume time because the GPU may have finished in the interim.
   if (RT.ChunkYield) {
     auto Self = shared_from_this();
-    // The hook invocation is a declared non-reentrant scope: a hook that
-    // pumps the simulator deep enough to reach this exec's next chunk
-    // boundary would re-enter itself (unbounded recursion on OS threads).
-    race::GuardScope YieldGuard(YieldGuardName);
     RT.ChunkYield([Self] {
       race::Section RaceS(Self->RT.RaceSec);
       if (!Self->GpuDone && !Self->MergePhaseStarted && Self->CpuLow > 0)

@@ -27,21 +27,16 @@ namespace fcl {
 namespace fluidicl {
 
 /// State machine for one kernel launch. Created and driven by
-/// Runtime::launchKernel; kept alive by its own callbacks.
+/// Runtime::launchKernelAsync; kept alive by its own callbacks.
 class KernelExec : public std::enable_shared_from_this<KernelExec> {
 public:
   KernelExec(Runtime &RT, const kern::KernelInfo &Kernel,
              const kern::NDRange &Range,
              const std::vector<runtime::KArg> &Args);
 
-  /// Starts the cooperative execution and blocks (runs the simulator)
-  /// until the kernel is application-complete: either the merge finished
-  /// on the GPU, or the CPU computed the entire NDRange first.
-  void run();
-
-  /// Non-blocking variant for re-entrant callers (the serve layer): starts
-  /// the execution and returns; \p OnDone fires once when the kernel is
-  /// application-complete. run() is start(nullptr) plus a simulator drain.
+  /// Starts the cooperative execution and returns; \p OnDone fires once
+  /// when the kernel is application-complete: either the merge finished on
+  /// the GPU, or the CPU computed the entire NDRange first.
   void start(std::function<void()> OnDone);
 
   const KernelStats &stats() const { return Stats; }
@@ -53,6 +48,14 @@ private:
     mcl::Buffer *Orig = nullptr;    // Snapshot of pre-kernel GPU data.
     mcl::Buffer *CpuData = nullptr; // Landing area for CPU results.
   };
+
+  /// Acquires scratch buffer \p K (out K / 2's snapshot when K is even,
+  /// its CPU-data landing area when odd), charging a pool miss's creation
+  /// as a host step, and enqueues out K / 2's snapshot copies once both of
+  /// its buffers are held. After the last one, launches both sides.
+  void acquireScratch(size_t K);
+  void enqueueSnapshot(OutBinding &O);
+  void launchBothSides();
 
   // --- GPU side -----------------------------------------------------------
   void launchGpuKernel();
@@ -89,6 +92,9 @@ private:
   TimePoint StartedAt;
 
   std::vector<OutBinding> Outs;
+  /// (buffer, version) pairs the CPU copy must hold before subkernels may
+  /// start (section 5.3), captured before this kernel bumps its outs.
+  std::vector<std::pair<uint32_t, uint64_t>> Gate;
   bool CooperativeAllowed = false;     // UseCpu and no atomics (section 7).
   bool UseRegionTransfers = false;     // Extension: band transfers.
 
@@ -111,10 +117,6 @@ private:
   std::shared_ptr<mcl::LaunchCounters> GpuCounters;
   KernelStats Stats;
   std::function<void()> OnDone; // Fired once by appComplete (may be null).
-  /// fcl::race non-reentrant-scope name wrapping the chunk-yield hook
-  /// invocation: a hook that pumps its way back into its own yield point
-  /// is flagged as a reentrant callback.
-  std::string YieldGuardName;
 };
 
 } // namespace fluidicl

@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <optional>
 
 using namespace fcl;
 using namespace fcl::fluidicl;
@@ -64,9 +65,21 @@ Runtime::Runtime(mcl::Context &Ctx, Options Opts)
   });
   if (Diags.enabled())
     Checker = std::make_unique<check::ProtocolChecker>(Diags);
+  if (!Ctx.simulator().inEvent())
+    Ctx.hostThen(setupTime(), [] {});
 }
 
-Runtime::~Runtime() { finish(); }
+Runtime::~Runtime() {
+  finish();
+  if (race::Analyzer::enabled()) {
+    race::Analyzer::instance().forgetObject(RaceSec + ".versions");
+    race::Analyzer::instance().forgetObject(RaceSec + ".pool");
+  }
+}
+
+Duration Runtime::setupTime() const {
+  return Ctx.machine().Host.bufferCreateTime(StatusBuf->size());
+}
 
 Runtime::DualBuffer &Runtime::buf(runtime::BufferId Id) {
   FCL_CHECK(Id < Buffers.size(), "invalid buffer id");
@@ -75,113 +88,123 @@ Runtime::DualBuffer &Runtime::buf(runtime::BufferId Id) {
 
 runtime::BufferId Runtime::createBuffer(uint64_t Size,
                                         std::string DebugName) {
-  race::Section RaceS(RaceSec);
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  auto B = std::make_unique<DualBuffer>();
-  B->Size = Size;
-  B->Name = DebugName;
+  std::optional<runtime::BufferId> Id;
+  createBufferAsync(Size, std::move(DebugName),
+                    [&Id](runtime::BufferId B) { Id = B; });
+  FCL_CHECK(Id.has_value(), "blocking createBuffer inside an event");
+  return *Id;
+}
+
+void Runtime::createBufferAsync(uint64_t Size, std::string DebugName,
+                                std::function<void(runtime::BufferId)> Then) {
+  auto Create = [this, Size, DebugName = std::move(DebugName),
+                 Then = std::move(Then)] {
+    auto B = std::make_unique<DualBuffer>();
+    B->Size = Size;
+    B->Name = DebugName;
+    B->CpuBuf = Ctx.createBuffer(Ctx.cpu(), Size, DebugName + ".cpu");
+    B->GpuBuf = Ctx.createBuffer(Ctx.gpu(), Size, DebugName + ".gpu");
+    Buffers.push_back(std::move(B));
+    uint32_t VIdx = Versions.addBuffer();
+    FCL_CHECK(VIdx == Buffers.size() - 1, "version index out of sync");
+    Then(static_cast<runtime::BufferId>(VIdx));
+  };
   // Section 4.1: buffers are created for both the CPU and the GPU.
-  B->CpuBuf = Ctx.createBuffer(Ctx.cpu(), Size, DebugName + ".cpu");
-  B->GpuBuf = Ctx.createBuffer(Ctx.gpu(), Size, DebugName + ".gpu");
-  Buffers.push_back(std::move(B));
-  uint32_t VIdx = Versions.addBuffer();
-  FCL_CHECK(VIdx == Buffers.size() - 1, "version index out of sync");
-  return static_cast<runtime::BufferId>(VIdx);
+  const hw::HostModel &Host = Ctx.machine().Host;
+  Steps.then(Host.ApiCallOverhead + Host.bufferCreateTime(Size) * 2,
+           std::move(Create));
 }
 
 void Runtime::writeBuffer(runtime::BufferId Id, const void *Src,
                           uint64_t Bytes) {
-  race::Section RaceS(RaceSec);
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  DualBuffer &B = buf(Id);
-  FCL_CHECK(Bytes <= B.Size, "write overruns buffer");
-  // Section 4.1: one clEnqueueWriteBuffer becomes two, one per device.
-  GpuAppQueue->enqueueWrite(*B.GpuBuf, Src, Bytes);
-  B.CpuLanding = CpuQueue->enqueueWrite(*B.CpuBuf, Src, Bytes);
-  Versions.noteHostWrite(Id, NextKernelId);
-  noteVersion(Id);
+  bool Done = false;
+  writeBufferAsync(Id, Src, Bytes, [&Done] { Done = true; });
+  FCL_CHECK(Done, "blocking writeBuffer inside an event");
+}
+
+void Runtime::writeBufferAsync(runtime::BufferId Id, const void *Src,
+                               uint64_t Bytes, std::function<void()> Then) {
+  auto Write = [this, Id, Src, Bytes, Then = std::move(Then)] {
+    DualBuffer &B = buf(Id);
+    FCL_CHECK(Bytes <= B.Size, "write overruns buffer");
+    // Section 4.1: one clEnqueueWriteBuffer becomes two, one per device.
+    GpuAppQueue->enqueueWrite(*B.GpuBuf, Src, Bytes);
+    B.CpuLanding = CpuQueue->enqueueWrite(*B.CpuBuf, Src, Bytes);
+    Versions.noteHostWrite(Id, NextKernelId);
+    noteVersion(Id);
+    Then();
+  };
+  Steps.then(Ctx.machine().Host.ApiCallOverhead, std::move(Write));
 }
 
 void Runtime::readBuffer(runtime::BufferId Id, void *Dst, uint64_t Bytes) {
-  race::Section RaceS(RaceSec);
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  DualBuffer &B = buf(Id);
-  FCL_CHECK(Bytes <= B.Size, "read overruns buffer");
-  // Section 6.2: serve the read from the CPU when its copy is current -
-  // either the DH stage already brought the data back or the CPU executed
-  // all work-groups.
-  if (Opts.DataLocationTracking && Versions.cpuCurrent(Id)) {
-    // Wait only for the command that lands this buffer's CPU data (host
-    // write or DH transfer) - never for unrelated trailing subkernels.
-    if (B.CpuLanding && !B.CpuLanding->isComplete())
-      B.CpuLanding->wait();
-    Stats.add("reads_from_cpu");
-    Stats.add("reads_from_cpu_bytes", Bytes);
-    Ctx.hostAdvance(Ctx.machine().Host.memcpyTime(Bytes));
-    if (Dst && B.CpuBuf->backed())
-      std::memcpy(Dst, B.CpuBuf->data(), Bytes);
-    return;
-  }
-  // Otherwise read from the GPU, which always holds the most recent
-  // version once the app-queue merges drain (in-order queue).
-  Stats.add("reads_from_gpu");
-  Stats.add("reads_from_gpu_bytes", Bytes);
-  GpuAppQueue->enqueueRead(*B.GpuBuf, Dst, Bytes, 0, /*Blocking=*/true);
+  bool Done = false;
+  readBufferAsync(Id, Dst, Bytes, [&Done] { Done = true; });
+  Ctx.simulator().runWhileNot([&Done] { return Done; });
+  FCL_CHECK(Done, "buffer read stalled");
 }
 
 void Runtime::launchKernel(const std::string &KernelName,
                            const kern::NDRange &Range,
                            const std::vector<runtime::KArg> &Args) {
-  race::Section RaceS(RaceSec);
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  const kern::KernelInfo &Kernel = kern::Registry::builtin().get(KernelName);
-  FCL_CHECK(Kernel.Args.size() == Args.size(), "argument arity mismatch");
-  auto Exec = std::make_shared<KernelExec>(*this, Kernel, Range, Args);
-  Execs.push_back(Exec);
-  Exec->run();
+  bool Done = false;
+  launchKernelAsync(KernelName, Range, Args, [&Done] { Done = true; });
+  // Block the application until the kernel is complete (paper section 7:
+  // kernel execution calls are blocking).
+  Ctx.simulator().runWhileNot([&Done] { return Done; });
+  FCL_CHECK(Done, "kernel execution stalled");
 }
 
 void Runtime::launchKernelAsync(const std::string &KernelName,
                                 const kern::NDRange &Range,
                                 const std::vector<runtime::KArg> &Args,
                                 std::function<void()> OnDone) {
-  race::Section RaceS(RaceSec);
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
   const kern::KernelInfo &Kernel = kern::Registry::builtin().get(KernelName);
   FCL_CHECK(Kernel.Args.size() == Args.size(), "argument arity mismatch");
-  auto Exec = std::make_shared<KernelExec>(*this, Kernel, Range, Args);
-  Execs.push_back(Exec);
-  Exec->start(std::move(OnDone));
+  auto Launch = [this, &Kernel, Range, Args, OnDone = std::move(OnDone)] {
+    auto Exec = std::make_shared<KernelExec>(*this, Kernel, Range, Args);
+    Execs.push_back(Exec);
+    Exec->start(OnDone);
+  };
+  Steps.then(Ctx.machine().Host.ApiCallOverhead, std::move(Launch));
 }
 
 void Runtime::readBufferAsync(runtime::BufferId Id, void *Dst, uint64_t Bytes,
                               std::function<void()> OnDone) {
-  race::Section RaceS(RaceSec);
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  DualBuffer &B = buf(Id);
-  FCL_CHECK(Bytes <= B.Size, "read overruns buffer");
-  if (Opts.DataLocationTracking && Versions.cpuCurrent(Id)) {
-    // Same routing as readBuffer, but the landing-event wait becomes a
-    // completion subscription instead of a simulator drain.
-    auto Fin = [this, &B, Dst, Bytes, OnDone = std::move(OnDone)] {
-      Stats.add("reads_from_cpu");
-      Stats.add("reads_from_cpu_bytes", Bytes);
-      Ctx.hostAdvance(Ctx.machine().Host.memcpyTime(Bytes));
-      if (Dst && B.CpuBuf->backed())
-        std::memcpy(Dst, B.CpuBuf->data(), Bytes);
-      OnDone();
-    };
-    if (B.CpuLanding && !B.CpuLanding->isComplete())
-      B.CpuLanding->onComplete(std::move(Fin));
-    else
-      Fin();
-    return;
-  }
-  Stats.add("reads_from_gpu");
-  Stats.add("reads_from_gpu_bytes", Bytes);
-  mcl::EventPtr Done =
-      GpuAppQueue->enqueueRead(*B.GpuBuf, Dst, Bytes, 0, /*Blocking=*/false);
-  Done->onComplete(std::move(OnDone));
+  auto Route = [this, Id, Dst, Bytes, OnDone = std::move(OnDone)] {
+    DualBuffer &B = buf(Id);
+    FCL_CHECK(Bytes <= B.Size, "read overruns buffer");
+    // Section 6.2: serve the read from the CPU when its copy is current -
+    // either the DH stage already brought the data back or the CPU executed
+    // all work-groups.
+    if (Opts.DataLocationTracking && Versions.cpuCurrent(Id)) {
+      // Wait only for the command that lands this buffer's CPU data (host
+      // write or DH transfer) - never for unrelated trailing subkernels.
+      auto Copy = [&B, Dst, Bytes, OnDone] {
+        if (Dst && B.CpuBuf->backed())
+          std::memcpy(Dst, B.CpuBuf->data(), Bytes);
+        OnDone();
+      };
+      auto Fin = [this, Bytes, Copy] {
+        Stats.add("reads_from_cpu");
+        Stats.add("reads_from_cpu_bytes", Bytes);
+        Steps.then(Ctx.machine().Host.memcpyTime(Bytes), Copy);
+      };
+      if (B.CpuLanding && !B.CpuLanding->isComplete())
+        B.CpuLanding->onComplete(Fin);
+      else
+        Fin();
+      return;
+    }
+    // Otherwise read from the GPU, which always holds the most recent
+    // version once the app-queue merges drain (in-order queue).
+    Stats.add("reads_from_gpu");
+    Stats.add("reads_from_gpu_bytes", Bytes);
+    mcl::EventPtr Done =
+        GpuAppQueue->enqueueRead(*B.GpuBuf, Dst, Bytes, 0, /*Blocking=*/false);
+    Done->onComplete(OnDone);
+  };
+  Steps.then(Ctx.machine().Host.ApiCallOverhead, std::move(Route));
 }
 
 void Runtime::finish() {
@@ -210,8 +233,8 @@ void Runtime::finish() {
 }
 
 bool Runtime::quiescent() const {
-  if (!GpuAppQueue->idle() || !CpuQueue->idle() || !HdQueue->idle() ||
-      !DhQueue->idle())
+  if (!Steps.idle() || !GpuAppQueue->idle() || !CpuQueue->idle() ||
+      !HdQueue->idle() || !DhQueue->idle())
     return false;
   for (const mcl::EventPtr &E : PendingDh)
     if (!E->isComplete())

@@ -36,6 +36,7 @@
 #include "fluidicl/Options.h"
 #include "fluidicl/VersionTracker.h"
 #include "mcl/CommandQueue.h"
+#include "race/Race.h"
 #include "runtime/HeteroRuntime.h"
 #include "stats/LaunchStats.h"
 
@@ -55,10 +56,22 @@ class KernelExec;
 using KernelStats = stats::LaunchStats;
 
 /// The FluidiCL runtime.
+///
+/// The blocking calls (the HeteroRuntime API) are for top-level callers:
+/// each is its async form plus a run loop. Callers inside simulator events
+/// (the serve layer, which drives many runtimes at once) use the async
+/// forms, whose host time (API overheads, buffer creation, host copies)
+/// is a continuation through mcl::Context::hostThen.
 class Runtime final : public runtime::HeteroRuntime {
 public:
+  /// Builds a runtime. From top-level code it charges setupTime() at once;
+  /// inside a simulator event it charges nothing, and the caller charges
+  /// setupTime() as its first host step.
   explicit Runtime(mcl::Context &Ctx, Options Opts = Options());
   ~Runtime() override;
+
+  /// Host time of building a runtime: creating its GPU status buffer.
+  Duration setupTime() const;
 
   std::string name() const override { return "FluidiCL"; }
   runtime::BufferId createBuffer(uint64_t Size,
@@ -70,11 +83,18 @@ public:
                     const std::vector<runtime::KArg> &Args) override;
   void finish() override;
 
-  /// Non-blocking launch for re-entrant callers (the serve layer, which
-  /// drives several runtimes from inside simulator events and must not
-  /// nest blocking drains per stream). \p OnDone fires once when the
-  /// launch is application-complete. launchKernel remains the blocking
-  /// single-application API and is unchanged in behaviour.
+  /// Non-blocking createBuffer: one host step charges the API call and
+  /// both device allocations, then \p Then gets the new buffer's id.
+  void createBufferAsync(uint64_t Size, std::string DebugName,
+                         std::function<void(runtime::BufferId)> Then);
+
+  /// Non-blocking writeBuffer: \p Then runs once both device writes are
+  /// enqueued (the data is captured then, as writeBuffer does).
+  void writeBufferAsync(runtime::BufferId Id, const void *Src,
+                        uint64_t Bytes, std::function<void()> Then);
+
+  /// Non-blocking launch: \p OnDone fires once when the launch is
+  /// application-complete.
   void launchKernelAsync(const std::string &KernelName,
                          const kern::NDRange &Range,
                          const std::vector<runtime::KArg> &Args,
@@ -98,10 +118,10 @@ public:
 
   const Options &options() const { return Opts; }
 
-  /// True when every queue is idle, no DH transfer is pending and no
-  /// kernel execution is referenced from a pending event or callback:
-  /// nothing of this runtime is left in flight, so finish() drains nothing
-  /// and destroying the runtime cuts nothing short.
+  /// True when every queue is idle, no DH transfer or host step is pending
+  /// and no kernel execution is referenced from a pending event or
+  /// callback: nothing of this runtime is left in flight, so finish()
+  /// drains nothing and destroying the runtime cuts nothing short.
   bool quiescent() const;
 
   /// Diagnostic sink of the check subsystem (Options::Check controls
@@ -174,6 +194,8 @@ private:
   /// point and async completion callback runs inside it, declaring "one
   /// lock per runtime" as the threading plan the analyzer checks against.
   std::string RaceSec;
+  /// Host time of API calls and buffer creation, run inside RaceSec.
+  mcl::HostSteps Steps{Ctx, RaceSec};
 };
 
 } // namespace fluidicl

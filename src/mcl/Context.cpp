@@ -19,11 +19,8 @@ Context::Context(const hw::Machine &M, ExecMode Mode)
 
 Context::~Context() = default;
 
-void Context::hostAdvance(Duration D) { Sim.runUntil(Sim.now() + D); }
-
 std::unique_ptr<Buffer> Context::createBuffer(Device &Dev, uint64_t Size,
                                               std::string DebugName) {
-  hostAdvance(M.Host.bufferCreateTime(Size));
   return std::make_unique<Buffer>(Dev, Size, functional(),
                                   std::move(DebugName));
 }

@@ -18,11 +18,13 @@
 #include "hw/Machine.h"
 #include "mcl/Buffer.h"
 #include "mcl/Device.h"
+#include "race/Race.h"
 #include "sim/Simulator.h"
 #include "trace/Tracer.h"
 
 #include <memory>
 #include <string>
+#include <utility>
 
 namespace fcl {
 namespace mcl {
@@ -56,11 +58,24 @@ public:
   /// Current simulated time.
   TimePoint now() const { return Sim.now(); }
 
-  /// Advances the simulated clock by \p D, running any events that fall in
-  /// the window (models host-side work such as API-call overheads).
-  void hostAdvance(Duration D);
+  /// Charges \p D of host-side work (API-call overheads, buffer creation,
+  /// host copies) to its caller, then runs \p Then. Outside any simulator
+  /// event this blocks: it runs the loop to now() + \p D and calls \p Then
+  /// before returning. Inside an event it schedules \p Then at now() + \p D
+  /// and returns at once, so host time delays only its caller and one run
+  /// loop runs at a time.
+  template <class Fn> void hostThen(Duration D, Fn Then) {
+    if (Sim.inEvent()) {
+      Sim.scheduleAfter(D, std::move(Then));
+      return;
+    }
+    Sim.runUntil(Sim.now() + D);
+    Then();
+  }
 
-  /// Creates a device buffer, charging the host-side creation overhead.
+  /// Creates a device buffer. It charges nothing: callers charge
+  /// machine().Host.bufferCreateTime(Size) through hostThen, summed with
+  /// the rest of their API call.
   std::unique_ptr<Buffer> createBuffer(Device &Dev, uint64_t Size,
                                        std::string DebugName = "buf");
 
@@ -100,6 +115,35 @@ private:
   std::unique_ptr<Device> Gpu;
   trace::Tracer *ActiveTracer = nullptr;
   int OutstandingTransfers = 0;
+};
+
+/// The host steps of one owner (a runtime or a job executor). Each step is
+/// a Context::hostThen whose continuation re-enters the owner's fcl::race
+/// section, and the owner is busy while a step is pending, so retiring it
+/// never frees state that a continuation still uses.
+class HostSteps {
+public:
+  /// \p Section is the owner's section name; it must outlive this object
+  /// and may be set after it is built.
+  HostSteps(Context &Ctx, const std::string &Section)
+      : Ctx(Ctx), Section(Section) {}
+
+  template <class Fn> void then(Duration D, Fn Then) {
+    ++Pending;
+    Ctx.hostThen(D, [this, Then = std::move(Then)]() mutable {
+      --Pending;
+      race::Section RaceS(Section);
+      Then();
+    });
+  }
+
+  /// True when every step has run.
+  bool idle() const { return Pending == 0; }
+
+private:
+  Context &Ctx;
+  const std::string &Section;
+  int Pending = 0;
 };
 
 } // namespace mcl

@@ -2,12 +2,13 @@
 
 #include "race/Fixtures.h"
 
-#include "fluidicl/Runtime.h"
+#include "mcl/CommandQueue.h"
+#include "mcl/Context.h"
 #include "sim/Simulator.h"
-#include "support/Log.h"
-#include "work/Driver.h"
 
 #include <cstdio>
+#include <functional>
+#include <memory>
 
 namespace fcl::race {
 namespace {
@@ -85,20 +86,23 @@ void runLeaseHandoff() {
   S.run();
 }
 
-// --- reentrant_chunk_yield ------------------------------------------------
-// A deliberately reentrant callback on the real async runtime surface:
-// the chunk-yield hook resumes the CPU and then pumps the simulator from
-// inside the hook, so the next chunk boundary re-enters the hook while
-// the first invocation is still on the stack (the exact bug class the
-// serve engine's park/resume protocol exists to avoid).
-void runReentrantChunkYield() {
+// --- reentrant_callback ---------------------------------------------------
+// A completion callback declares a non-reentrant scope and re-arms itself
+// on its own event from inside that scope. The event has already fired,
+// so Event::onComplete runs the callback inline: the second invocation
+// starts while the first is still on the stack.
+void runReentrantCallback() {
   mcl::Context Ctx(hw::paperMachine(), mcl::ExecMode::TimingOnly);
-  fluidicl::Runtime RT(Ctx);
-  RT.setChunkYield([&Ctx](std::function<void()> Resume) {
-    Resume();
-    Ctx.simulator().run();
-  });
-  work::runWorkload(RT, work::makeSyrk(512, 512), /*Validate=*/false);
+  std::unique_ptr<mcl::CommandQueue> Q = Ctx.createQueue(Ctx.gpu());
+  mcl::EventPtr Done = Q->enqueueCallback([] {});
+  int Calls = 0;
+  std::function<void()> OnDone = [&] {
+    GuardScope Guard("fixture.on_done");
+    if (++Calls < 2)
+      Done->onComplete(OnDone);
+  };
+  Done->onComplete(OnDone);
+  Ctx.simulator().run();
 }
 
 const std::vector<FixtureCase> Cases = {
@@ -108,9 +112,9 @@ const std::vector<FixtureCase> Cases = {
     {"lease_overlap",
      "two jobs acquire the same device lease without a release between",
      true, FindingKind::LeaseOverlap, runLeaseOverlap},
-    {"reentrant_chunk_yield",
-     "chunk-yield hook pumps the simulator and re-enters itself",
-     true, FindingKind::ReentrantCallback, runReentrantChunkYield},
+    {"reentrant_callback",
+     "completion callback re-arms itself inside its non-reentrant scope",
+     true, FindingKind::ReentrantCallback, runReentrantCallback},
     {"sectioned_sibling_writes",
      "clean: the sibling writes are ordered through a declared Section",
      false, FindingKind::UnorderedAccess, runSectionedSiblingWrites},

@@ -88,11 +88,17 @@ ClockT &mutableClock(std::shared_ptr<const ClockT> &P) {
 }
 } // namespace
 
+uint32_t Analyzer::newStrandLocked() {
+  History.emplace_back();
+  StrandRefs.push_back(0);
+  return static_cast<uint32_t>(History.size() - 1);
+}
+
 Analyzer::Task Analyzer::makeRootLocked(size_t Slot) {
   Task Root;
   Root.Seq = 0;
-  Root.Strand = static_cast<uint32_t>(History.size());
-  History.emplace_back();
+  Root.Strand = newStrandLocked();
+  refStrandLocked(Root.Strand); // Roots are never popped.
   if (Slot == 0) {
     // The host root: strand 0, epoch 1, begun at version 0 (everything
     // covers it - the host schedules the first events).
@@ -112,6 +118,7 @@ void Analyzer::resetLocked() {
   ++ThreadGen;
   PendingBySeq.clear();
   History.clear();
+  StrandRefs.clear();
   Sections.clear();
   Channels.clear();
   Leases.clear();
@@ -202,7 +209,8 @@ bool Analyzer::drainedLocked(const Entries &Drains, uint32_t Strand,
 
 void Analyzer::pruneLocked(Clock &C) {
   std::erase_if(C.Explicit, [&](const auto &E) {
-    return drainedLocked(C.Drains, E.first, E.second, /*AndEarlier=*/true);
+    return StrandRefs[E.first] == 0 ||
+           drainedLocked(C.Drains, E.first, E.second, /*AndEarlier=*/true);
   });
   Sum.MaxClockEntries = std::max<uint64_t>(Sum.MaxClockEntries,
                                            C.Explicit.size());
@@ -251,6 +259,7 @@ void Analyzer::onSchedule(uint64_t Seq, uint32_t Domain) {
     Cur.ForkedContinuation = true;
     P.TakesParentStrand = true;
     P.ParentStrand = Cur.Strand;
+    refStrandLocked(Cur.Strand); // Handed to the event's task at begin.
   }
   PendingBySeq.emplace(std::make_pair(Domain, Seq), std::move(P));
 }
@@ -277,8 +286,8 @@ void Analyzer::onEventBegin(uint64_t Seq, uint32_t Domain) {
   if (P.TakesParentStrand) {
     T.Strand = P.ParentStrand;
   } else {
-    T.Strand = static_cast<uint32_t>(History.size());
-    History.emplace_back();
+    T.Strand = newStrandLocked();
+    refStrandLocked(T.Strand);
   }
   T.Epoch = beginEpochLocked(T.Strand, Domain);
   auto C = P.At ? std::make_shared<Clock>(*P.At) : std::make_shared<Clock>();
@@ -291,8 +300,10 @@ void Analyzer::onEventBegin(uint64_t Seq, uint32_t Domain) {
 void Analyzer::onEventEnd() {
   std::lock_guard<std::mutex> Lock(Mu);
   ThreadState &S = stateLocked();
-  if (S.Stack.size() > 1)
+  if (S.Stack.size() > 1) {
+    unrefStrandLocked(S.Stack.back().Strand);
     S.Stack.pop_back();
+  }
 }
 
 void Analyzer::onDrainExit(uint32_t Domain) {
@@ -314,20 +325,15 @@ void Analyzer::sectionEnter(const std::string &Name) {
   auto It = Sections.find(Name);
   if (It != Sections.end())
     joinLocked(Cur.C, It->second);
-  ++Cur.Held[Name];
 }
 
 void Analyzer::sectionExit(const std::string &Name) {
   std::lock_guard<std::mutex> Lock(Mu);
-  Task &Cur = currentLocked();
   // Accumulate rather than overwrite: a mutex acquire happens-after EVERY
-  // prior release, and simulated sections can overlap (an inline-pumped
-  // nested event enters and exits while an outer event still holds the
-  // scope), so last-writer-wins would drop the nested publish.
-  joinLocked(Sections[Name], Cur.C);
-  auto It = Cur.Held.find(Name);
-  if (It != Cur.Held.end() && --It->second == 0)
-    Cur.Held.erase(It);
+  // prior release, and a task nested on the same stack (a blocking call
+  // that drains the loop) may publish before the task below it does, so
+  // last-writer-wins would drop that publish.
+  joinLocked(Sections[Name], currentLocked().C);
 }
 
 void Analyzer::hbPublish(const std::string &Chan) {
@@ -397,16 +403,6 @@ void Analyzer::checkAccessLocked(Shadow &Sh, const std::string &Object,
                                  const char *What, bool IsWrite) {
   Task &Cur = currentLocked();
   TaskRef By = currentRefLocked();
-  // Hybrid lockset rule: two accesses holding a common section are
-  // mutually excluded on OS threads even when no release->acquire edge
-  // orders them (the analyzer sees them overlap only because nested
-  // events pump inline on one native stack).
-  auto SharesLock = [&](const Access &Prev) {
-    for (const std::string &L : Prev.Locks)
-      if (Cur.Held.count(L))
-        return true;
-    return false;
-  };
   auto Complain = [&](const Access &Prev, const char *PrevOp,
                       const char *CurOp) {
     std::ostringstream Os;
@@ -417,25 +413,31 @@ void Analyzer::checkAccessLocked(Shadow &Sh, const std::string &Object,
           "move onto OS threads)";
     recordFindingLocked(FindingKind::UnorderedAccess, Object, Os.str());
   };
-  std::vector<std::string> Locks;
-  Locks.reserve(Cur.Held.size());
-  for (const auto &[Name, Depth] : Cur.Held)
-    Locks.push_back(Name);
   if (Sh.HasWrite &&
-      !coversLocked(Cur, Sh.LastWrite.Strand, Sh.LastWrite.Epoch) &&
-      !SharesLock(Sh.LastWrite))
+      !coversLocked(Cur, Sh.LastWrite.Strand, Sh.LastWrite.Epoch))
     Complain(Sh.LastWrite, "write", IsWrite ? "write" : "read");
   if (IsWrite) {
     for (const auto &[Strand, R] : Sh.Reads)
-      if (!coversLocked(Cur, R.Strand, R.Epoch) && !SharesLock(R))
+      if (!coversLocked(Cur, R.Strand, R.Epoch))
         Complain(R, "read", "write");
+    refStrandLocked(Cur.Strand);
+    unrefRecordsLocked(Sh);
     Sh.HasWrite = true;
-    Sh.LastWrite = Access{Cur.Strand, Cur.Epoch, By, What, std::move(Locks)};
+    Sh.LastWrite = Access{Cur.Strand, Cur.Epoch, By, What};
     Sh.Reads.clear();
   } else {
-    Sh.Reads[Cur.Strand] =
-        Access{Cur.Strand, Cur.Epoch, By, What, std::move(Locks)};
+    auto [It, New] = Sh.Reads.try_emplace(Cur.Strand);
+    if (New)
+      refStrandLocked(Cur.Strand);
+    It->second = Access{Cur.Strand, Cur.Epoch, By, What};
   }
+}
+
+void Analyzer::unrefRecordsLocked(const Shadow &Sh) {
+  if (Sh.HasWrite)
+    unrefStrandLocked(Sh.LastWrite.Strand);
+  for (const auto &[Strand, R] : Sh.Reads)
+    unrefStrandLocked(Strand);
 }
 
 void Analyzer::sharedWrite(const std::string &Object, const char *What) {
@@ -448,6 +450,15 @@ void Analyzer::sharedRead(const std::string &Object, const char *What) {
   std::lock_guard<std::mutex> Lock(Mu);
   ++Sum.AccessesChecked;
   checkAccessLocked(Shadows[Object], Object, What, /*IsWrite=*/false);
+}
+
+void Analyzer::forgetObject(const std::string &Object) {
+  std::lock_guard<std::mutex> Lock(Mu);
+  auto It = Shadows.find(Object);
+  if (It == Shadows.end())
+    return;
+  unrefRecordsLocked(It->second);
+  Shadows.erase(It);
 }
 
 void Analyzer::recordFindingLocked(FindingKind Kind, const std::string &Object,

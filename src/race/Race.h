@@ -53,9 +53,17 @@
 /// version at which (s, E) began. Entries of strands that crossed domains
 /// (the cluster master's continuation into a worker's simulator) or began
 /// in none (worker-thread roots) are always kept: only they order those
-/// epochs. No happens-before answer changes, and clocks stay a few entries
-/// long however long the run: 7-8 in a 16-stream serve run from 0.125 s
-/// to 3 s of simulated time.
+/// epochs. No happens-before answer changes.
+///
+/// Dead strands retire too. A strand's clock entries matter only to check
+/// accesses recorded on it, so the analyzer counts what can still record or
+/// keep one: a task running on the strand, a scheduled event that will
+/// continue it, and the shadow records of its accesses (a destroyed
+/// object's records go with forgetObject()). Once the count is zero it
+/// stays zero, and every clock built drops the strand's entry. In one
+/// simulator, where run loops never nest and so never drain inside an
+/// event, this is what keeps clocks a few entries long however long the
+/// run: 7-8 in a 16-stream serve run from 0.125 s to 3 s of simulated time.
 ///
 /// Tasks live on per-thread stacks: each OS thread that touches the
 /// analyzer gets its own root task on first contact (the resetting thread
@@ -190,9 +198,8 @@ public:
   /// mutex + condition-variable handoff, e.g. the cluster fabric's epoch
   /// barrier): publish merges the calling task's clock into the named
   /// channel; join makes the calling task cover everything published so
-  /// far. Unlike Sections these never feed the lockset rule - they assert
-  /// ordering that genuinely exists, so call them only where the code
-  /// really blocks.
+  /// far. Unlike Sections these assert ordering that genuinely exists, so
+  /// call them only where the code really blocks.
   void hbPublish(const std::string &Chan);
   void hbJoin(const std::string &Chan);
 
@@ -202,6 +209,8 @@ public:
   /// \p Object does not happen-before the current task.
   void sharedWrite(const std::string &Object, const char *What);
   void sharedRead(const std::string &Object, const char *What);
+  /// \p Object was destroyed: its recorded accesses can never race again.
+  void forgetObject(const std::string &Object);
 
   // --- Results -------------------------------------------------------------
 
@@ -239,11 +248,6 @@ private:
     uint64_t Epoch = 0;
     ClockPtr C;
     bool ForkedContinuation = false;
-    /// Sections this task itself has entered and not yet exited (name ->
-    /// depth). Deliberately NOT inherited by nested inline-pumped events:
-    /// on OS threads those would be separate threads not holding the
-    /// outer task's locks.
-    std::map<std::string, uint64_t> Held;
   };
 
   /// One OS thread's task stack; [0] is the thread's root task and is
@@ -274,10 +278,6 @@ private:
     uint64_t Epoch = 0;
     TaskRef By;
     std::string What;
-    /// Sections held by the accessing task at access time: two accesses
-    /// sharing a held section are mutually excluded on OS threads even
-    /// when no release->acquire edge orders them (hybrid lockset rule).
-    std::vector<std::string> Locks;
   };
 
   struct Shadow {
@@ -314,6 +314,13 @@ private:
   Task makeRootLocked(size_t Slot);
   Task &currentLocked();
   TaskRef currentRefLocked();
+  /// Allocates a strand with no epochs and no references.
+  uint32_t newStrandLocked();
+  /// References that keep \p Strand's clock entries alive (see the file
+  /// comment); the entries drop once the count is zero.
+  void refStrandLocked(uint32_t Strand) { ++StrandRefs[Strand]; }
+  void unrefStrandLocked(uint32_t Strand) { --StrandRefs[Strand]; }
+  void unrefRecordsLocked(const Shadow &Sh);
   /// Begins the next epoch of \p Strand in \p Domain; returns the epoch.
   uint64_t beginEpochLocked(uint32_t Strand, uint32_t Domain);
   const HistEntry *beginOf(uint32_t Strand, uint64_t Epoch) const;
@@ -324,7 +331,8 @@ private:
   /// entry for them is redundant.
   bool drainedLocked(const Entries &Drains, uint32_t Strand, uint64_t Epoch,
                      bool AndEarlier) const;
-  /// Drops \p C's drained explicit entries; call on every clock built.
+  /// Drops \p C's drained explicit entries and those of dead strands; call
+  /// on every clock built.
   void pruneLocked(Clock &C);
   /// Raises \p Dst to cover \p Src, then prunes it.
   void mergeLocked(Clock &Dst, const Clock &Src);
@@ -354,6 +362,8 @@ private:
   /// Indexed by strand id, then by epoch - 1: when and where each epoch
   /// began. A new strand's id is History.size().
   std::vector<std::vector<HistEntry>> History;
+  /// Indexed by strand id: the references refStrandLocked counts.
+  std::vector<uint32_t> StrandRefs;
   uint32_t NextDomain = 1; // survives reset(); 0 = legacy default
   uint64_t GlobalVersion = 0;
 

@@ -34,6 +34,7 @@ ManagedBuffer::DeviceSlot &ManagedBuffer::slotFor(mcl::Device &Dev) {
   for (DeviceSlot &S : Slots)
     if (S.Dev == &Dev)
       return S;
+  Ctx.hostThen(Ctx.machine().Host.bufferCreateTime(Size), [] {});
   DeviceSlot S;
   S.Dev = &Dev;
   S.Buf = Ctx.createBuffer(Dev, Size, DebugName);
@@ -105,7 +106,7 @@ mcl::Device *ManagedBuffer::anyValidDevice() const {
 }
 
 BufferId ManagedRuntime::createBuffer(uint64_t Size, std::string DebugName) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
+  Ctx.hostThen(Ctx.machine().Host.ApiCallOverhead, [] {});
   Buffers.push_back(
       std::make_unique<ManagedBuffer>(Ctx, Size, std::move(DebugName)));
   return static_cast<BufferId>(Buffers.size() - 1);
@@ -113,12 +114,12 @@ BufferId ManagedRuntime::createBuffer(uint64_t Size, std::string DebugName) {
 
 void ManagedRuntime::writeBuffer(BufferId Id, const void *Src,
                                  uint64_t Bytes) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
+  Ctx.hostThen(Ctx.machine().Host.ApiCallOverhead, [] {});
   buf(Id).writeFromHost(Src, Bytes);
 }
 
 void ManagedRuntime::readBuffer(BufferId Id, void *Dst, uint64_t Bytes) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
+  Ctx.hostThen(Ctx.machine().Host.ApiCallOverhead, [] {});
   ManagedBuffer &B = buf(Id);
   FCL_CHECK(Bytes <= B.size(), "read overruns buffer");
   fetchToHost(B);

@@ -56,7 +56,7 @@ SingleDeviceRuntime::buildLaunch(const std::string &KernelName,
 void SingleDeviceRuntime::launchKernel(const std::string &KernelName,
                                        const kern::NDRange &Range,
                                        const std::vector<KArg> &Args) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
+  Ctx.hostThen(Ctx.machine().Host.ApiCallOverhead, [] {});
   Stats.add("kernel_launches");
   Stats.add("workgroups_total", Range.totalGroups());
   Stats.add(Dev.kind() == mcl::DeviceKind::Cpu ? "cpu_workgroups_completed"

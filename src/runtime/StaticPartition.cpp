@@ -63,7 +63,7 @@ void StaticPartitionRuntime::launchOn(mcl::Device &Dev,
 void StaticPartitionRuntime::launchKernel(const std::string &KernelName,
                                           const kern::NDRange &Range,
                                           const std::vector<KArg> &Args) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
+  Ctx.hostThen(Ctx.machine().Host.ApiCallOverhead, [] {});
   const kern::KernelInfo &Kernel = kern::Registry::builtin().get(KernelName);
   FCL_CHECK(Kernel.Args.size() == Args.size(), "argument arity mismatch");
 
@@ -157,7 +157,7 @@ void StaticPartitionRuntime::launchKernel(const std::string &KernelName,
     }
     // Charge the host merge pass (two reads + one write over the buffer).
     Stats.add("host_merge_bytes", B.size());
-    Ctx.hostAdvance(Ctx.machine().Host.memcpyTime(3 * B.size()));
+    Ctx.hostThen(Ctx.machine().Host.memcpyTime(3 * B.size()), [] {});
     B.markHostCurrent();
     B.invalidateDevices();
   }

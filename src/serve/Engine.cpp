@@ -227,8 +227,9 @@ void Engine::startDag(Req *R) {
   R->StartAt = Ctx->now();
   R->Placement = "dag";
   ++DagN;
-  // A compound job owns both devices for its duration; leases are taken
-  // before start() because job setup advances the simulated clock.
+  // A compound job owns both devices for its duration. Leases are taken
+  // before start(): the job's set-up is a chain of host steps, and other
+  // completions (which dispatch again) fire between them.
   GpuJob = R;
   CpuJob = R;
   GpuLeaseStart = Ctx->now();
@@ -252,8 +253,9 @@ void Engine::startCoop(Req *R) {
   R->StartAt = Ctx->now();
   R->Placement = Cfg.P == Policy::FifoExclusive ? "pair" : "corun";
   ++CoopN;
-  // Leases are taken before start(): job setup advances the simulated
-  // clock (API overheads), which can re-enter dispatch via completions.
+  // Leases are taken before start(): the job's set-up is a chain of host
+  // steps (API overheads), and other completions, which dispatch again,
+  // fire between them.
   GpuJob = R;
   GpuLeaseStart = Ctx->now();
   if (race::Analyzer::enabled())
@@ -269,7 +271,8 @@ void Engine::startCoop(Req *R) {
           formatString("req %llu", static_cast<unsigned long long>(R->Id)));
   }
   auto Exec = std::make_unique<CoopJobExec>(*Ctx, R->T->W, Cfg.FclOpts,
-                                            hostFor(R), Cfg.Validate);
+                                            hostFor(R), Cfg.Validate,
+                                            RaceSec);
   if (Cfg.P == Policy::FluidicCorun)
     Exec->runtime().setChunkYield([this](std::function<void()> Resume) {
       onChunkBoundary(std::move(Resume));
@@ -298,7 +301,7 @@ void Engine::startSingle(Req *R, bool OnGpu, bool Backfill) {
         formatString("req %llu", static_cast<unsigned long long>(R->Id)));
   R->Exec = std::make_unique<SingleJobExec>(
       *Ctx, OnGpu ? Ctx->gpu() : Ctx->cpu(), R->T->W, hostFor(R),
-      Cfg.Validate);
+      Cfg.Validate, RaceSec);
   R->Exec->start([this, R] { jobDone(R); });
 }
 

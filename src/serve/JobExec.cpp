@@ -28,8 +28,9 @@ const HostData::Buffers &HostData::reference() {
 }
 
 JobExec::JobExec(mcl::Context &Ctx, const work::Workload &W, HostData *Host,
-                 bool Validate)
-    : Ctx(Ctx), W(W), Host(Host), Validate(Validate) {
+                 bool Validate, std::string RaceSec)
+    : Ctx(Ctx), W(W), Host(Host), Validate(Validate),
+      RaceSec(std::move(RaceSec)) {
   FCL_CHECK(Host || !Ctx.functional(), "functional job without host data");
 }
 
@@ -50,21 +51,41 @@ void JobExec::finishJob() {
 
 CoopJobExec::CoopJobExec(mcl::Context &Ctx, const work::Workload &W,
                          const fluidicl::Options &Opts, HostData *Host,
-                         bool Validate)
-    : JobExec(Ctx, W, Host, Validate),
+                         bool Validate, std::string RaceSec)
+    : JobExec(Ctx, W, Host, Validate, std::move(RaceSec)),
       RT(std::make_unique<fluidicl::Runtime>(Ctx, Opts)) {}
 
 void CoopJobExec::start(DoneFn Done) {
   OnDone = std::move(Done);
-  for (size_t I = 0; I < W.Buffers.size(); ++I)
-    Ids.push_back(RT->createBuffer(W.Buffers[I].Bytes, W.Buffers[I].Name));
-  for (size_t I = 0; I < W.Buffers.size(); ++I)
-    RT->writeBuffer(Ids[I], initialData(I), W.Buffers[I].Bytes);
   Results.resize(W.ResultBuffers.size());
   if (Ctx.functional())
     for (size_t R = 0; R < W.ResultBuffers.size(); ++R)
       Results[R].resize(W.Buffers[W.ResultBuffers[R]].Bytes);
-  launchNext();
+  // The runtime was built inside an event, so its set-up is the job's
+  // first host step.
+  Steps.then(RT->setupTime(), [this] { createNext(); });
+}
+
+void CoopJobExec::createNext() {
+  if (Ids.size() == W.Buffers.size()) {
+    writeNext();
+    return;
+  }
+  const work::BufferSpec &Spec = W.Buffers[Ids.size()];
+  RT->createBufferAsync(Spec.Bytes, Spec.Name, [this](runtime::BufferId Id) {
+    Ids.push_back(Id);
+    createNext();
+  });
+}
+
+void CoopJobExec::writeNext() {
+  if (NextWrite == W.Buffers.size()) {
+    launchNext();
+    return;
+  }
+  size_t I = NextWrite++;
+  RT->writeBufferAsync(Ids[I], initialData(I), W.Buffers[I].Bytes,
+                       [this] { writeNext(); });
 }
 
 void CoopJobExec::launchNext() {
@@ -100,40 +121,65 @@ void CoopJobExec::readNext() {
 
 SingleJobExec::SingleJobExec(mcl::Context &Ctx, mcl::Device &Dev,
                              const work::Workload &W, HostData *Host,
-                             bool Validate)
-    : JobExec(Ctx, W, Host, Validate), Dev(Dev) {}
+                             bool Validate, std::string RaceSec)
+    : JobExec(Ctx, W, Host, Validate, std::move(RaceSec)), Dev(Dev) {}
 
 void SingleJobExec::start(DoneFn Done) {
   OnDone = std::move(Done);
-  bool Functional = Ctx.functional();
   Q = Ctx.createQueue(Dev, "serve-single");
-  Duration Api = Ctx.machine().Host.ApiCallOverhead;
-  for (const work::BufferSpec &Spec : W.Buffers) {
-    Ctx.hostAdvance(Api);
-    Bufs.push_back(Ctx.createBuffer(Dev, Spec.Bytes, Spec.Name));
-  }
-  for (size_t I = 0; I < W.Buffers.size(); ++I) {
-    Ctx.hostAdvance(Api);
-    Q->enqueueWrite(*Bufs[I], initialData(I), W.Buffers[I].Bytes);
-  }
-  for (const work::KernelCall &Call : W.Calls) {
-    Ctx.hostAdvance(Api);
-    mcl::LaunchDesc Desc;
-    Desc.Kernel = &kern::Registry::builtin().get(Call.Kernel);
-    Desc.Range = Call.Range;
-    for (const runtime::KArg &A : Call.Args)
-      Desc.Args.push_back(A.toLaunchArg(
-          [&](runtime::BufferId Id) { return Bufs[Id].get(); }));
-    Q->enqueueKernel(std::move(Desc));
-  }
   Results.resize(W.ResultBuffers.size());
-  for (size_t R = 0; R < W.ResultBuffers.size(); ++R) {
-    size_t BufIdx = W.ResultBuffers[R];
-    if (Functional)
-      Results[R].resize(W.Buffers[BufIdx].Bytes);
-    Ctx.hostAdvance(Api);
-    Q->enqueueRead(*Bufs[BufIdx], Functional ? Results[R].data() : nullptr,
-                   W.Buffers[BufIdx].Bytes);
+  if (Ctx.functional())
+    for (size_t R = 0; R < W.ResultBuffers.size(); ++R)
+      Results[R].resize(W.Buffers[W.ResultBuffers[R]].Bytes);
+  issueNext();
+}
+
+void SingleJobExec::issueNext() {
+  const hw::HostModel &H = Ctx.machine().Host;
+  size_t NumBufs = W.Buffers.size();
+  size_t I = NextCall++;
+  if (I < NumBufs) {
+    const work::BufferSpec &Spec = W.Buffers[I];
+    Steps.then(H.ApiCallOverhead + H.bufferCreateTime(Spec.Bytes),
+             [this, &Spec] {
+               Bufs.push_back(Ctx.createBuffer(Dev, Spec.Bytes, Spec.Name));
+               issueNext();
+             });
+    return;
+  }
+  I -= NumBufs;
+  if (I < NumBufs) {
+    Steps.then(H.ApiCallOverhead, [this, I] {
+      Q->enqueueWrite(*Bufs[I], initialData(I), W.Buffers[I].Bytes);
+      issueNext();
+    });
+    return;
+  }
+  I -= NumBufs;
+  if (I < W.Calls.size()) {
+    Steps.then(H.ApiCallOverhead, [this, I] {
+      const work::KernelCall &Call = W.Calls[I];
+      mcl::LaunchDesc Desc;
+      Desc.Kernel = &kern::Registry::builtin().get(Call.Kernel);
+      Desc.Range = Call.Range;
+      for (const runtime::KArg &A : Call.Args)
+        Desc.Args.push_back(A.toLaunchArg(
+            [&](runtime::BufferId Id) { return Bufs[Id].get(); }));
+      Q->enqueueKernel(std::move(Desc));
+      issueNext();
+    });
+    return;
+  }
+  I -= W.Calls.size();
+  if (I < W.ResultBuffers.size()) {
+    Steps.then(H.ApiCallOverhead, [this, I] {
+      size_t BufIdx = W.ResultBuffers[I];
+      Q->enqueueRead(*Bufs[BufIdx],
+                     Ctx.functional() ? Results[I].data() : nullptr,
+                     W.Buffers[BufIdx].Bytes);
+      issueNext();
+    });
+    return;
   }
   // In-order queue: a trailing callback fires after every write, kernel
   // and read above has completed.

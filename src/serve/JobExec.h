@@ -7,8 +7,9 @@
 /// \file
 /// Runs one admitted job (a work::Workload) to completion without ever
 /// blocking the simulator: the serve engine drives many jobs concurrently
-/// from inside simulator events, so every executor is a completion-callback
-/// chain, not a drain loop.
+/// from inside simulator events, so every executor is a chain of host
+/// steps (mcl::Context::hostThen continuations) and completion callbacks,
+/// not a drain loop.
 ///
 ///  * CoopJobExec   - the job owns a private fluidicl::Runtime (its own
 ///    command queues, buffers, version tracker and stats over the shared
@@ -31,12 +32,14 @@
 #include "fluidicl/Runtime.h"
 #include "mcl/CommandQueue.h"
 #include "mcl/Context.h"
+#include "race/Race.h"
 #include "work/Workload.h"
 
 #include <cstddef>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 namespace fcl {
@@ -79,9 +82,9 @@ public:
   virtual void start(DoneFn OnDone) = 0;
 
   /// True once nothing of the started job is in flight: its queues are
-  /// idle, no DH transfer is pending and no kernel execution is referenced
-  /// from a pending event or callback. Destroying the executor then cuts
-  /// nothing short.
+  /// idle, no host step or DH transfer is pending and no kernel execution
+  /// is referenced from a pending event or callback. Destroying the
+  /// executor then cuts nothing short.
   virtual bool quiescent() const = 0;
 
   /// True when functional validation ran and the results were wrong.
@@ -95,9 +98,10 @@ public:
 protected:
   /// \p Host is the template's host data, required in functional mode
   /// and null otherwise; \p Validate checks the results against its
-  /// reference.
+  /// reference. \p RaceSec names the fcl::race section the executor's host
+  /// steps run in (the one its starter holds).
   JobExec(mcl::Context &Ctx, const work::Workload &W, HostData *Host,
-          bool Validate);
+          bool Validate, std::string RaceSec);
 
   /// The initial data to write into buffer \p I: null in timing-only
   /// mode.
@@ -116,16 +120,22 @@ protected:
   std::vector<std::vector<std::byte>> Results;
   DoneFn OnDone;
   bool ValidationFailed = false;
+  std::string RaceSec;
+  /// The job's host API time, run inside RaceSec.
+  mcl::HostSteps Steps{Ctx, RaceSec};
 };
 
 /// Cooperative CPU+GPU execution through a private FluidiCL runtime.
 class CoopJobExec final : public JobExec {
 public:
   CoopJobExec(mcl::Context &Ctx, const work::Workload &W,
-              const fluidicl::Options &Opts, HostData *Host, bool Validate);
+              const fluidicl::Options &Opts, HostData *Host, bool Validate,
+              std::string RaceSec);
 
   void start(DoneFn OnDone) override;
-  bool quiescent() const override { return RT->quiescent(); }
+  bool quiescent() const override {
+    return Steps.idle() && RT->quiescent();
+  }
 
   /// The job's private runtime (the engine installs its chunk-yield hook
   /// here before start()).
@@ -134,11 +144,16 @@ public:
   fluidicl::Runtime *fclRuntime() override { return RT.get(); }
 
 private:
+  // One runtime call each, in program order; each runs from the previous
+  // one's continuation.
+  void createNext();
+  void writeNext();
   void launchNext();
   void readNext();
 
   std::unique_ptr<fluidicl::Runtime> RT;
   std::vector<runtime::BufferId> Ids;
+  size_t NextWrite = 0;
   size_t NextCall = 0;
   size_t NextRead = 0;
 };
@@ -147,15 +162,21 @@ private:
 class SingleJobExec final : public JobExec {
 public:
   SingleJobExec(mcl::Context &Ctx, mcl::Device &Dev, const work::Workload &W,
-                HostData *Host, bool Validate);
+                HostData *Host, bool Validate, std::string RaceSec);
 
   void start(DoneFn OnDone) override;
-  bool quiescent() const override { return Q->idle(); }
+  bool quiescent() const override { return Steps.idle() && Q->idle(); }
 
 private:
+  /// Issues host API call number NextCall, one host step each, in program
+  /// order: create every buffer, write every one, launch every kernel,
+  /// read every result; then enqueues the tail that finishes the job.
+  void issueNext();
+
   mcl::Device &Dev;
   std::unique_ptr<mcl::CommandQueue> Q;
   std::vector<std::unique_ptr<mcl::Buffer>> Bufs;
+  size_t NextCall = 0;
 };
 
 } // namespace serve

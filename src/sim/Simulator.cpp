@@ -12,7 +12,6 @@
 
 #include <cassert>
 #include <limits>
-#include <optional>
 
 using namespace fcl;
 using namespace fcl::sim;
@@ -62,6 +61,8 @@ void Simulator::scheduleAfter(Duration Delay, Callback Fn) {
 bool Simulator::step() {
   if (Queue.empty())
     return false;
+  FCL_CHECK(!InEvent, "run loop inside an event would fire an event: host "
+                      "work inside an event must be a continuation");
   Entry Top = Queue.top();
   Queue.pop();
   // Take the callback and free its slot before calling it: the callback may
@@ -71,6 +72,7 @@ bool Simulator::step() {
   assert(Top.At >= Now && "event queue went backwards");
   Now = Top.At;
   ++Executed;
+  InEvent = true;
   if (race::Analyzer::enabled()) {
     race::Analyzer &RA = race::Analyzer::instance();
     RA.onEventBegin(Top.Seq, raceDomain());
@@ -79,34 +81,25 @@ bool Simulator::step() {
   } else {
     Fn();
   }
+  InEvent = false;
   return true;
 }
 
-// The run loops open a "sim.run" profiler phase only when there is event
-// work to do (hostAdvance()-style calls hit these entry points thousands
-// of times per run with an empty or not-yet-due queue), and only on the
-// outermost entry: event callbacks routinely pump the loop again, and
-// scoping every re-entry would charge two timestamp reads per nesting
-// level for no extra information. Counter deltas flush on outermost exit.
+// The run loops open a "sim.run" profiler phase and flush the counters
+// only when there is event work to do: blocking host calls hit these entry
+// points thousands of times per run with an empty or not-yet-due queue.
 bool Simulator::pump(TimePoint Deadline, const std::function<bool()> *Stop) {
   if (Queue.empty() || Queue.top().At > Deadline)
     return false;
-  bool Outer = !InRunLoop;
-  InRunLoop = true;
   bool Stopped = false;
   {
-    std::optional<prof::ScopedPhase> Phase;
-    if (Outer)
-      Phase.emplace("sim.run");
+    prof::ScopedPhase Phase("sim.run");
     while (!Stopped && !Queue.empty() && Queue.top().At <= Deadline) {
       step();
       Stopped = Stop && (*Stop)();
     }
   }
-  if (Outer) {
-    InRunLoop = false;
-    flushProfCounters();
-  }
+  flushProfCounters();
   return Stopped;
 }
 
@@ -129,7 +122,11 @@ void Simulator::run() {
 
 void Simulator::runUntil(TimePoint Deadline) {
   FCL_CHECK(Deadline >= Now, "deadline in the past");
+  FCL_CHECK(!InEvent || Deadline == Now,
+            "runUntil inside an event would move the clock: host work "
+            "inside an event must be a continuation");
   pump(Deadline, nullptr);
+  FCL_CHECK(Now <= Deadline, "runUntil would move the clock backwards");
   Now = Deadline;
   raceDrainExit();
 }

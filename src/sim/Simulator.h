@@ -16,6 +16,11 @@
 /// nondeterminism. A scheduled event always fires; a callback whose effect
 /// may be stale by then checks for that itself, as FluidiCL's guards do.
 ///
+/// One run loop runs at a time and the clock never runs backwards: an event
+/// callback may schedule further events, but a run loop it starts must not
+/// fire one or move the clock (FCL_CHECKed). Host work inside an event is
+/// a scheduled continuation instead (mcl::Context::hostThen).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef FCL_SIM_SIMULATOR_H
@@ -43,6 +48,9 @@ public:
   /// Current virtual time. Advances only inside run()/runUntil()/step().
   TimePoint now() const { return Now; }
 
+  /// True while an event callback is running.
+  bool inEvent() const { return InEvent; }
+
   /// Schedules \p Fn to run at absolute time \p At (>= now()).
   void scheduleAt(TimePoint At, Callback Fn);
 
@@ -53,14 +61,18 @@ public:
   void run();
 
   /// Runs events with timestamps <= \p Deadline, then sets now() to
-  /// \p Deadline (if the queue drained earlier).
+  /// \p Deadline (if the queue drained earlier). Inside an event only
+  /// \p Deadline == now() with nothing due is legal.
   void runUntil(TimePoint Deadline);
 
   /// Runs until \p Pred() returns true (checked after each event) or the
-  /// queue drains. Returns true if the predicate was satisfied.
+  /// queue drains. Returns true if the predicate was satisfied. Inside an
+  /// event it is legal only when it fires nothing: \p Pred() already holds
+  /// or the queue is empty.
   bool runWhileNot(const std::function<bool()> &Pred);
 
   /// Fires the single earliest pending event. Returns false if none.
+  /// Aborts when called inside an event.
   bool step();
 
   /// Number of events executed since construction.
@@ -104,9 +116,7 @@ private:
   TimePoint Now;
   uint64_t NextSeq = 1;
   uint64_t Executed = 0;
-  /// True while a run loop is active, so re-entrant pumping from event
-  /// callbacks skips the "sim.run" profiler phase and the counter flush.
-  bool InRunLoop = false;
+  bool InEvent = false;
   /// Lazily-allocated analyzer domain (0 = not yet allocated).
   uint32_t RaceDomain = 0;
 

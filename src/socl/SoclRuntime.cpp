@@ -74,7 +74,7 @@ mcl::Device &SoclRuntime::chooseDevice(const std::string &KernelName,
 void SoclRuntime::launchKernel(const std::string &KernelName,
                                const kern::NDRange &Range,
                                const std::vector<runtime::KArg> &Args) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
+  Ctx.hostThen(Ctx.machine().Host.ApiCallOverhead, [] {});
   const kern::KernelInfo &Kernel = kern::Registry::builtin().get(KernelName);
   FCL_CHECK(Kernel.Args.size() == Args.size(), "argument arity mismatch");
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 
 using namespace fcl;
@@ -93,6 +94,54 @@ TEST(ClusterTest, ConservesEveryJob) {
     // A job lands on a different worker than its first placement exactly
     // when the master stole it.
     EXPECT_EQ(J.FirstWorker != J.Worker, J.Stolen);
+  }
+}
+
+// One worker is one serve engine: with one run loop at a time and no
+// clock rewinds, serving a load through fluidicl_serve's engine and
+// through a one-worker cluster (epoch-stepped, arrivals injected by the
+// master) gives the same schedule.
+TEST(ClusterTest, OneWorkerMatchesServe) {
+  struct Shape {
+    serve::Policy P;
+    serve::MixKind Mix;
+  };
+  for (Shape S : {Shape{serve::Policy::FluidicCorun, serve::MixKind::Mixed},
+                  Shape{serve::Policy::DeviceAffine, serve::MixKind::Mixed},
+                  Shape{serve::Policy::FluidicCorun, serve::MixKind::Pipeline},
+                  Shape{serve::Policy::FifoExclusive, serve::MixKind::Mixed},
+                  Shape{serve::Policy::FluidicCorun, serve::MixKind::Large}}) {
+    serve::EngineConfig EC;
+    EC.P = S.P;
+    EC.Mix = S.Mix;
+    EC.Streams = 16;
+    EC.Arrival.Kind = serve::ArrivalKind::Poisson;
+    EC.Arrival.RatePerSec = 150;
+    EC.QueueDepth = 256;
+    EC.Horizon = Duration::milliseconds(250);
+    EC.Seed = 7;
+    serve::ServeReport Serve = serve::Engine(EC).run();
+    ClusterConfig CC;
+    CC.Workers = 1;
+    CC.Worker = EC;
+    ClusterReport Clu = Cluster(CC).run();
+    std::string Where = std::string(serve::policyName(S.P)) + " x " +
+                        serve::mixName(S.Mix);
+    EXPECT_EQ(Serve.Submitted, Clu.Submitted) << Where;
+    EXPECT_EQ(Serve.Rejected, Clu.Rejected) << Where;
+    EXPECT_EQ(Serve.Completed, Clu.Completed) << Where;
+    EXPECT_NEAR(Serve.MakespanMs, Clu.MakespanMs, 1e-9) << Where;
+    auto Same = [&](const serve::LatencySummary &A,
+                    const serve::LatencySummary &B, const char *What) {
+      EXPECT_NEAR(A.P50, B.P50, 1e-9) << Where << " " << What;
+      EXPECT_NEAR(A.P95, B.P95, 1e-9) << Where << " " << What;
+      EXPECT_NEAR(A.P99, B.P99, 1e-9) << Where << " " << What;
+      EXPECT_NEAR(A.Mean, B.Mean, 1e-9) << Where << " " << What;
+      EXPECT_NEAR(A.Max, B.Max, 1e-9) << Where << " " << What;
+    };
+    Same(Serve.QueueWait, Clu.QueueWait, "queue wait");
+    Same(Serve.Service, Clu.Service, "service");
+    Same(Serve.E2e, Clu.E2e, "e2e");
   }
 }
 

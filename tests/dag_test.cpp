@@ -276,11 +276,19 @@ serve::ServeReport runPipeline(Placement P, uint64_t Seed) {
   return E.run();
 }
 
+// Residency moves fewer PCIe bytes on every seed. Per seed the two
+// placements' p95 are close, since host API time delays only the job that
+// pays it, so the latency claim is on p95 summed over ten seeds.
 TEST(DagEngineTest, ResidencyBeatsBlindOnPcieBytesAndP95) {
-  serve::ServeReport R = runPipeline(Placement::Residency, 5);
-  serve::ServeReport B = runPipeline(Placement::Blind, 5);
-  EXPECT_LT(R.DagPcieBytes, B.DagPcieBytes);
-  EXPECT_LT(R.E2e.P95, B.E2e.P95);
+  double ResidencyP95 = 0, BlindP95 = 0;
+  for (uint64_t Seed = 1; Seed <= 10; ++Seed) {
+    serve::ServeReport R = runPipeline(Placement::Residency, Seed);
+    serve::ServeReport B = runPipeline(Placement::Blind, Seed);
+    EXPECT_LT(R.DagPcieBytes, B.DagPcieBytes) << "seed " << Seed;
+    ResidencyP95 += R.E2e.P95;
+    BlindP95 += B.E2e.P95;
+  }
+  EXPECT_LT(ResidencyP95, BlindP95);
 }
 
 TEST(DagEngineTest, SameSeedPipelineReportsAreByteIdentical) {

@@ -19,6 +19,7 @@
 
 #include <cmath>
 #include <functional>
+#include <memory>
 
 using namespace fcl;
 using namespace fcl::fluidicl;
@@ -440,6 +441,28 @@ TEST(FluidiclAsyncTest, PassThroughChunkYieldChangesNothing) {
   EXPECT_EQ(HookedTotal.nanos(), PlainTotal.nanos());
   EXPECT_EQ(statsFor(RT, "syrk_kernel").CpuGroupsExecuted, PlainCpuGroups);
   EXPECT_GT(Yields, 0u);
+}
+
+// Built from top-level code, a runtime charges its set-up at once. Built
+// inside an event, it charges nothing and schedules nothing: its caller
+// charges setupTime() as its own first host step.
+TEST(FluidiclBehaviourTest, SetUpChargedAtOnceOnlyOutsideAnEvent) {
+  mcl::Context Ctx(hw::paperMachine(), mcl::ExecMode::TimingOnly);
+  sim::Simulator &Sim = Ctx.simulator();
+  Runtime Top(Ctx);
+  EXPECT_GT(Top.setupTime().nanos(), 0);
+  EXPECT_EQ(Sim.now(), TimePoint() + Top.setupTime());
+  std::unique_ptr<Runtime> Inner;
+  Sim.scheduleAfter(Duration::nanoseconds(10), [&] {
+    Inner = std::make_unique<Runtime>(Ctx);
+    EXPECT_FALSE(Sim.hasPending());
+  });
+  uint64_t Before = Sim.eventsExecuted();
+  Sim.run();
+  EXPECT_EQ(Sim.eventsExecuted(), Before + 1);
+  EXPECT_EQ(Sim.now(),
+            TimePoint() + Top.setupTime() + Duration::nanoseconds(10));
+  EXPECT_TRUE(Inner->quiescent());
 }
 
 } // namespace

@@ -53,12 +53,20 @@ TEST(ContextTest, DevicesExposed) {
   EXPECT_EQ(Ctx.gpu().computeUnits(), Ctx.machine().Gpu.NumSms);
 }
 
-TEST(ContextTest, BufferCreationChargesHostTime) {
+// Context::createBuffer charges nothing: its caller charges the creation
+// once, through hostThen, summed with the rest of its API call.
+TEST(ContextTest, BufferCreationIsChargedByTheCaller) {
   Context Ctx;
   TimePoint Before = Ctx.now();
-  auto Buf = Ctx.createBuffer(Ctx.gpu(), 1024);
+  std::unique_ptr<Buffer> Buf;
+  Ctx.hostThen(Ctx.machine().Host.bufferCreateTime(1024), [&] {
+    Buf = Ctx.createBuffer(Ctx.gpu(), 1024);
+    EXPECT_EQ((Ctx.now() - Before).nanos(),
+              Ctx.machine().Host.bufferCreateTime(1024).nanos());
+  });
   EXPECT_EQ((Ctx.now() - Before).nanos(),
             Ctx.machine().Host.bufferCreateTime(1024).nanos());
+  ASSERT_TRUE(Buf);
   EXPECT_TRUE(Buf->backed());
   EXPECT_EQ(Buf->size(), 1024u);
 }

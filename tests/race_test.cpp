@@ -6,9 +6,8 @@
 ///
 /// Tests for the happens-before race analyzer: fork/drain ordering of the
 /// vector-clock core, declared synchronization (sections, leases, guards)
-/// on both hazardous and clean shapes, the hybrid lockset rule that keeps
-/// inline-pumped nested events from tripping false positives, finding
-/// deduplication, drain pruning of clock entries, the check::DiagSink
+/// on both hazardous and clean shapes, finding deduplication, drain and
+/// dead-strand pruning of clock entries, the check::DiagSink
 /// bridge, the seeded fixture sweep, and the serve-engine gates: a
 /// high-concurrency mixed workload must analyze clean AND produce
 /// byte-identical reports with the analyzer on or off, and clocks must
@@ -138,29 +137,6 @@ TEST(RaceCoreTest, SectionsOrderSiblingAccesses) {
   EXPECT_FALSE(A->hasFindings());
 }
 
-// The serve false-positive shape: an inline-pumped nested event runs and
-// touches the object while the outer event still holds the section and
-// has not published yet. On OS threads the mutex would block the nested
-// task, so the hybrid lockset rule must exempt the pair.
-TEST(RaceCoreTest, LocksetExemptsInlinePumpedOverlap) {
-  Armed A;
-  A->onSchedule(1);
-  A->onSchedule(2);
-  A->onEventBegin(1);
-  A->sectionEnter("m");
-  A->sharedWrite("obj", "outer");
-  // Inline pump: event#2 begins nested inside event#1's section.
-  A->onEventBegin(2);
-  A->sectionEnter("m"); // nothing published yet
-  A->sharedWrite("obj", "nested");
-  A->sectionExit("m");
-  A->onEventEnd();
-  A->sharedWrite("obj", "outer-again");
-  A->sectionExit("m");
-  A->onEventEnd();
-  EXPECT_FALSE(A->hasFindings());
-}
-
 TEST(RaceCoreTest, UnrelatedSectionDoesNotExempt) {
   Armed A;
   A->onSchedule(1);
@@ -171,7 +147,7 @@ TEST(RaceCoreTest, UnrelatedSectionDoesNotExempt) {
   A->sectionExit("m1");
   A->onEventEnd();
   A->onEventBegin(2);
-  A->sectionEnter("m2"); // different section: no ordering, no lockset
+  A->sectionEnter("m2"); // different section: no ordering
   A->sharedWrite("obj", "b");
   A->sectionExit("m2");
   A->onEventEnd();
@@ -254,6 +230,44 @@ TEST(RaceCoreTest, DrainsDropOnlySingleDomainStrandEntries) {
       EXPECT_GE(A->summary().MaxClockEntries, Rounds);
     else
       EXPECT_LE(A->summary().MaxClockEntries, 2u);
+  }
+}
+
+// A strand's clock entries live while something can still record or keep
+// one of its accesses: a running task, a scheduled continuation, a shadow
+// record. Sibling events that each write their own object under one
+// section leave one entry per strand in the section's clock until their
+// objects are forgotten; after that the dead strands drop out of every
+// clock built, and no answer changes.
+TEST(RaceCoreTest, DeadStrandsDropOutOfClocks) {
+  constexpr uint64_t Rounds = 16;
+  for (bool Forget : {false, true}) {
+    Armed A;
+    for (uint64_t I = 1; I <= Rounds; ++I)
+      A->onSchedule(I);
+    for (uint64_t I = 1; I <= Rounds; ++I) {
+      A->onEventBegin(I);
+      A->sectionEnter("m");
+      A->sharedWrite("obj#" + std::to_string(I), "write");
+      A->sectionExit("m");
+      A->onEventEnd();
+      if (Forget)
+        A->forgetObject("obj#" + std::to_string(I));
+    }
+    // Records still held keep their entries: the next section holder is
+    // ordered after every write it can still conflict with.
+    A->onSchedule(Rounds + 1);
+    A->onEventBegin(Rounds + 1);
+    A->sectionEnter("m");
+    for (uint64_t I = 1; I <= Rounds; ++I)
+      A->sharedRead("obj#" + std::to_string(I), "read");
+    A->sectionExit("m");
+    A->onEventEnd();
+    EXPECT_FALSE(A->hasFindings()) << "forget=" << Forget;
+    if (Forget)
+      EXPECT_LE(A->summary().MaxClockEntries, 3u);
+    else
+      EXPECT_GE(A->summary().MaxClockEntries, Rounds - 1);
   }
 }
 

@@ -6,12 +6,14 @@
 
 #include "sim/Simulator.h"
 
+#include "mcl/Context.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -181,6 +183,81 @@ TEST(SimulatorTest, ManyTiedEventsFireInTimeThenScheduleOrder) {
   EXPECT_EQ(Fired, Expected);
   EXPECT_EQ(Sim.eventsExecuted(), Keys.size());
   EXPECT_FALSE(Sim.hasPending());
+}
+
+// Outside any event, hostThen blocks: it runs every event due by now()+D,
+// then the continuation, before it returns.
+TEST(HostThenTest, OutsideAnEventRunsTheLoopThenTheContinuation) {
+  mcl::Context Ctx;
+  sim::Simulator &Sim = Ctx.simulator();
+  std::vector<std::string> Order;
+  Sim.scheduleAfter(Duration::nanoseconds(50), [&] { Order.push_back("a"); });
+  Sim.scheduleAfter(Duration::nanoseconds(100), [&] { Order.push_back("b"); });
+  Sim.scheduleAfter(Duration::nanoseconds(101), [&] { Order.push_back("c"); });
+  TimePoint RanAt;
+  Ctx.hostThen(Duration::nanoseconds(100), [&] {
+    Order.push_back("then");
+    RanAt = Sim.now();
+  });
+  EXPECT_EQ(Order, (std::vector<std::string>{"a", "b", "then"}));
+  EXPECT_EQ(RanAt, TimePoint(100));
+  EXPECT_EQ(Sim.now(), TimePoint(100));
+  Sim.run();
+  EXPECT_EQ(Order.back(), "c");
+}
+
+// Inside an event, hostThen returns at once: no other event runs inside
+// it, and the continuation fires as its own event at now()+D.
+TEST(HostThenTest, InsideAnEventSchedulesTheContinuation) {
+  mcl::Context Ctx;
+  sim::Simulator &Sim = Ctx.simulator();
+  std::vector<std::string> Order;
+  TimePoint RanAt;
+  Sim.scheduleAfter(Duration::nanoseconds(10), [&] {
+    Ctx.hostThen(Duration::nanoseconds(100), [&] {
+      EXPECT_TRUE(Sim.inEvent());
+      Order.push_back("then");
+      RanAt = Sim.now();
+    });
+    Order.push_back("returned");
+    EXPECT_EQ(Sim.now(), TimePoint(10));
+  });
+  Sim.scheduleAfter(Duration::nanoseconds(20), [&] { Order.push_back("x"); });
+  Sim.scheduleAfter(Duration::nanoseconds(200), [&] { Order.push_back("y"); });
+  Sim.run();
+  EXPECT_EQ(Order,
+            (std::vector<std::string>{"returned", "x", "then", "y"}));
+  EXPECT_EQ(RanAt, TimePoint(110));
+}
+
+TEST(SimulatorTest, DrainsInsideAnEventThatFireNothingAreLegal) {
+  Simulator Sim;
+  bool Ran = false;
+  Sim.scheduleAfter(Duration::nanoseconds(10), [&] {
+    EXPECT_TRUE(Sim.runWhileNot([] { return true; }));
+    Sim.runUntil(Sim.now());
+    Ran = true;
+  });
+  Sim.scheduleAfter(Duration::nanoseconds(20), [] {});
+  Sim.run();
+  EXPECT_TRUE(Ran);
+}
+
+// A run loop started inside an event while another event is due would
+// nest loops (and could move the clock back when it returns): it aborts.
+TEST(SimulatorDeathTest, RunLoopInsideAnEventWithAnEventDueAborts) {
+  Simulator Sim;
+  Sim.scheduleAfter(Duration::nanoseconds(10), [&] { Sim.run(); });
+  Sim.scheduleAfter(Duration::nanoseconds(20), [] {});
+  EXPECT_DEATH(Sim.run(), "inside an event");
+}
+
+TEST(SimulatorDeathTest, RunUntilInsideAnEventThatMovesTheClockAborts) {
+  Simulator Sim;
+  Sim.scheduleAfter(Duration::nanoseconds(10), [&] {
+    Sim.runUntil(Sim.now() + Duration::nanoseconds(5));
+  });
+  EXPECT_DEATH(Sim.run(), "move the clock");
 }
 
 TEST(SimulatorDeathTest, SchedulingInThePastAborts) {
