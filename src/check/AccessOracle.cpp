@@ -124,7 +124,7 @@ OracleReport fcl::check::verifyCall(const kern::KernelInfo &Kernel,
     if (!Scratch.empty())
       std::memset(Scratch.data(), 0, Scratch.size());
     kern::executeWorkGroup(Kernel, Range, kern::unflattenGroupId(Flat, Groups),
-                           View, 0, Range.itemsPerGroup(), Scratch.data());
+                           View, Scratch.data());
   };
 
   const uint64_t ErrBefore = Sink.errorCount();

@@ -6,6 +6,8 @@
 
 #include "kern/Kernel.h"
 
+#include "prof/Profiler.h"
+
 #include <algorithm>
 #include <vector>
 
@@ -16,13 +18,11 @@ namespace fcl {
 namespace kern {
 
 /// Functionally executes every work-item of the work-group \p GroupId of
-/// \p Kernel (all barrier phases in order), restricted to local items
-/// [LocalBegin, LocalEnd) of the flattened local index space. The
-/// restriction implements CPU work-group splitting (paper section 6.3);
-/// pass 0 and itemsPerGroup() for a whole work-group.
+/// \p Kernel through its per-item body, all barrier phases in order. CPU
+/// work-group splitting (paper section 6.3) is timing-only
+/// (CpuEngine::launchDuration), so a group always runs whole.
 void executeWorkGroup(const KernelInfo &Kernel, const NDRange &Range,
                       const Dim3 &GroupId, const ArgsView &Args,
-                      uint64_t LocalBegin, uint64_t LocalEnd,
                       std::byte *LocalScratch) {
   Dim3 Local = Range.localSize();
   Dim3 Groups = Range.numGroups();
@@ -33,7 +33,7 @@ void executeWorkGroup(const KernelInfo &Kernel, const NDRange &Range,
   Ctx.Local = LocalScratch;
   for (int Phase = 0; Phase < Kernel.NumPhases; ++Phase) {
     Ctx.Phase = Phase;
-    for (uint64_t Flat = LocalBegin; Flat < LocalEnd; ++Flat) {
+    for (uint64_t Flat = 0, Items = Local.product(); Flat < Items; ++Flat) {
       Ctx.LocalId.X = Flat % Local.X;
       uint64_t Rest = Flat / Local.X;
       Ctx.LocalId.Y = Rest % Local.Y;
@@ -48,14 +48,19 @@ void executeWorkGroup(const KernelInfo &Kernel, const NDRange &Range,
 
 void executeGroups(const KernelInfo &Kernel, const NDRange &Range,
                    const ArgsView &Args, uint64_t Begin, uint64_t End) {
-  std::vector<std::byte> Scratch(Kernel.LocalBytes);
+  FCL_PROF_SCOPE("kern.execute");
   Dim3 Groups = Range.numGroups();
-  uint64_t Items = Range.itemsPerGroup();
+  if (Kernel.GroupFn) {
+    for (uint64_t Flat = Begin; Flat < End; ++Flat)
+      Kernel.GroupFn(unflattenGroupId(Flat, Groups), Range.localSize(), Args);
+    return;
+  }
+  std::vector<std::byte> Scratch(Kernel.LocalBytes);
   for (uint64_t Flat = Begin; Flat < End; ++Flat) {
     if (!Scratch.empty())
       std::fill(Scratch.begin(), Scratch.end(), std::byte{0});
-    executeWorkGroup(Kernel, Range, unflattenGroupId(Flat, Groups), Args, 0,
-                     Items, Scratch.empty() ? nullptr : Scratch.data());
+    executeWorkGroup(Kernel, Range, unflattenGroupId(Flat, Groups), Args,
+                     Scratch.empty() ? nullptr : Scratch.data());
   }
 }
 

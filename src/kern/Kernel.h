@@ -9,7 +9,9 @@
 /// work-item functions plus metadata: per-argument access kinds (the
 /// out/inout information FluidiCL's "simple compiler analysis" extracts),
 /// barrier phase structure, a per-launch cost descriptor for the timing
-/// model, and optional device-optimized variants (paper section 6.6).
+/// model, and optional device-optimized variants (paper section 6.6). A hot
+/// kernel may add a whole-work-group function that computes the same bytes
+/// faster on the host; it changes no simulated time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -125,6 +127,12 @@ struct ItemCtx {
 /// Work-item body: executes one work-item (for one phase).
 using WorkItemFn = std::function<void(const ItemCtx &, const ArgsView &)>;
 
+/// Whole-work-group body: executes every work-item of the group \p GroupId
+/// of a range whose work-groups are \p LocalSize items.
+using WorkGroupFn =
+    std::function<void(const Dim3 &GroupId, const Dim3 &LocalSize,
+                       const ArgsView &)>;
+
 /// Inputs available to a kernel's cost descriptor.
 struct CostQuery {
   NDRange Range;
@@ -143,7 +151,16 @@ struct KernelInfo {
   int NumPhases = 1;
   /// Local scratch bytes per work-group.
   uint64_t LocalBytes = 0;
+  /// The kernel's definition: one work-item's body.
   WorkItemFn Fn;
+  /// Optional faster form of \c Fn for one whole work-group, which
+  /// executeGroups runs instead of calling \c Fn per item. It must make the
+  /// same writes as running \c Fn over every item of the group, with each
+  /// item's float operations in \c Fn's order, so every buffer comes out
+  /// byte-identical; and no item may read what another item of the launch
+  /// writes, so the items' interleaving is free. Only for barrier-free
+  /// kernels without local memory (NumPhases == 1, LocalBytes == 0).
+  WorkGroupFn GroupFn;
   CostFn Cost;
   /// Names of functionally-identical device-optimized variants that online
   /// profiling may choose between (paper section 6.6).
@@ -167,19 +184,20 @@ struct KernelInfo {
   }
 };
 
-/// Functionally executes work-items [LocalBegin, LocalEnd) (flattened local
-/// IDs) of work-group \p GroupId, running all barrier phases in order.
+/// Functionally executes every work-item of work-group \p GroupId through
+/// \c KernelInfo::Fn, one item at a time, running all barrier phases in
+/// order: the reference form of a kernel, which the access oracle probes.
 /// \p LocalScratch must hold KernelInfo::LocalBytes bytes (may be null when
-/// LocalBytes == 0). Pass [0, Range.itemsPerGroup()) for a whole group.
+/// LocalBytes == 0).
 void executeWorkGroup(const KernelInfo &Kernel, const NDRange &Range,
                       const Dim3 &GroupId, const ArgsView &Args,
-                      uint64_t LocalBegin, uint64_t LocalEnd,
                       std::byte *LocalScratch);
 
 /// Functionally executes whole work-groups [Begin, End) (flattened group
 /// IDs) of \p Kernel over \p Range in ascending order, each starting with
 /// zeroed local memory: how every device and the host reference run a
-/// kernel.
+/// kernel. Runs \c KernelInfo::GroupFn per group when the kernel has one,
+/// and executeWorkGroup otherwise.
 void executeGroups(const KernelInfo &Kernel, const NDRange &Range,
                    const ArgsView &Args, uint64_t Begin, uint64_t End);
 

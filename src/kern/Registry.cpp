@@ -16,6 +16,9 @@ void Registry::add(KernelInfo Info) {
   FCL_CHECK(!Info.Name.empty(), "kernel must have a name");
   FCL_CHECK(Info.Fn != nullptr, "kernel must have a body");
   FCL_CHECK(Info.Cost != nullptr, "kernel must have a cost descriptor");
+  FCL_CHECK(!Info.GroupFn || (Info.NumPhases == 1 && Info.LocalBytes == 0),
+            "a work-group body needs a kernel without barriers or local "
+            "memory");
   auto [It, Inserted] = Kernels.emplace(Info.Name, std::move(Info));
   (void)It;
   FCL_CHECK(Inserted, "duplicate kernel registration");

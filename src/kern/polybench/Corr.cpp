@@ -17,6 +17,7 @@
 
 #include "kern/polybench/PolybenchKernels.h"
 
+#include <algorithm>
 #include <cmath>
 
 using namespace fcl;
@@ -45,6 +46,40 @@ void corrBody(const ItemCtx &Ctx, const ArgsView &Args) {
     Sum += Data[I * M + J1] * Data[I * M + J2];
   Corr[J1 * M + J2] = Sum;
   Corr[J2 * M + J1] = Sum;
+}
+
+/// Most items of one J1 row whose sums corrGroupBody advances together.
+constexpr int64_t CorrBlock = 32;
+
+/// Group body of the correlation kernel: for each J1 row of the group, the
+/// sums of up to CorrBlock items (J1, J2) advance together over I, each in
+/// corrBody's order, reading the contiguous J2 run of Data's row I.
+void corrGroupBody(const Dim3 &G, const Dim3 &Local, const ArgsView &Args) {
+  const float *Data = Args.bufferAs<float>(0);
+  float *Corr = Args.bufferAs<float>(1);
+  int64_t N = Args.i64(2), M = Args.i64(3);
+  GroupBox Box = groupBox(G, Local, M, M);
+  for (int64_t J1 = Box.Y0; J1 < Box.Y1; ++J1) {
+    int64_t J2 = std::max(Box.X0, J1);
+    if (J2 == J1 && J2 < Box.X1) {
+      Corr[J1 * M + J1] = 1.0f;
+      ++J2;
+    }
+    for (; J2 < Box.X1; J2 += CorrBlock) {
+      int64_t Width = std::min(CorrBlock, Box.X1 - J2);
+      float Sum[CorrBlock] = {};
+      for (int64_t I = 0; I < N; ++I) {
+        float D1 = Data[I * M + J1];
+        const float *Row = Data + I * M + J2;
+        for (int64_t K = 0; K < Width; ++K)
+          Sum[K] += D1 * Row[K];
+      }
+      for (int64_t K = 0; K < Width; ++K) {
+        Corr[J1 * M + J2 + K] = Sum[K];
+        Corr[(J2 + K) * M + J1] = Sum[K];
+      }
+    }
+  }
 }
 
 } // namespace
@@ -156,6 +191,7 @@ void fcl::kern::registerCorrKernels(Registry &R) {
     K.Args = {ArgAccess::In, ArgAccess::Out, ArgAccess::Scalar,
               ArgAccess::Scalar};
     K.Fn = corrBody;
+    K.GroupFn = corrGroupBody;
     K.Cost = [](const CostQuery &Q) {
       double N = static_cast<double>(Q.Scalars[2].IntValue);
       hw::WorkItemCost C;
@@ -185,6 +221,7 @@ void fcl::kern::registerCorrKernels(Registry &R) {
     K.Args = {ArgAccess::In, ArgAccess::Out, ArgAccess::Scalar,
               ArgAccess::Scalar};
     K.Fn = corrBody;
+    K.GroupFn = corrGroupBody;
     K.Cost = [](const CostQuery &Q) {
       double N = static_cast<double>(Q.Scalars[2].IntValue);
       hw::WorkItemCost C;

@@ -28,6 +28,8 @@
 #include "kern/Kernel.h"
 #include "kern/Registry.h"
 
+#include <algorithm>
+
 namespace fcl {
 namespace kern {
 namespace poly {
@@ -36,6 +38,22 @@ namespace poly {
 inline constexpr uint64_t WgSize1D = 32;
 inline constexpr uint64_t WgSizeX2D = 32;
 inline constexpr uint64_t WgSizeY2D = 8;
+
+/// The work-items of one work-group of a 2-D range that fall inside a
+/// problem \p Width items wide (X) and \p Height high (Y): columns
+/// [X0, X1) and rows [Y0, Y1), empty where the group lies outside. Group
+/// bodies use it for the guards their per-item bodies apply.
+struct GroupBox {
+  int64_t X0, X1, Y0, Y1;
+};
+inline GroupBox groupBox(const Dim3 &G, const Dim3 &Local, int64_t Width,
+                         int64_t Height) {
+  auto Lo = [](uint64_t Gi, uint64_t Li) {
+    return static_cast<int64_t>(Gi * Li);
+  };
+  return {Lo(G.X, Local.X), std::min(Lo(G.X + 1, Local.X), Width),
+          Lo(G.Y, Local.Y), std::min(Lo(G.Y + 1, Local.Y), Height)};
+}
 
 /// Builds a cost descriptor for a dot-product kernel whose work-item loops
 /// \p Trip times reading \p BytesPerItem of effective off-chip traffic.

@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 using namespace fcl;
@@ -56,6 +58,25 @@ TEST(RegistryTest, AllBuiltinsPresent) {
 
 TEST(RegistryDeathTest, GetUnknownKernelAborts) {
   EXPECT_DEATH(Registry::builtin().get("bogus_kernel"), "unknown kernel");
+}
+
+TEST(RegistryDeathTest, GroupBodyNeedsNoBarriersOrLocalMemory) {
+  auto Make = [](int NumPhases, uint64_t LocalBytes) {
+    KernelInfo K;
+    K.Name = "grouped";
+    K.Args = {ArgAccess::Scalar};
+    K.NumPhases = NumPhases;
+    K.LocalBytes = LocalBytes;
+    K.Fn = [](const ItemCtx &, const ArgsView &) {};
+    K.GroupFn = [](const Dim3 &, const Dim3 &, const ArgsView &) {};
+    K.Cost = [](const CostQuery &) { return hw::WorkItemCost(); };
+    return K;
+  };
+  Registry R;
+  R.add(Make(1, 0));
+  EXPECT_EQ(R.size(), 1u);
+  EXPECT_DEATH(Registry().add(Make(2, 0)), "work-group body");
+  EXPECT_DEATH(Registry().add(Make(1, 64)), "work-group body");
 }
 
 TEST(RegistryTest, WrittenArgsComputed) {
@@ -297,6 +318,120 @@ TEST(PolybenchKernelTest, CorrVariantsProduceIdenticalOutput) {
   runKernel(Reg.get("corr_corr_kernel_cpuopt"), NDRange::of2D(M, M, 32, 8),
             ArgsB);
   EXPECT_EQ(CorrA, CorrB);
+}
+
+// --- Group bodies ------------------------------------------------------------
+
+/// How the equivalence test binds a kernel that has a group body, at
+/// problem sizes (N, M): each argument's float count (0 for a scalar), each
+/// scalar's value, and the extent of the items the problem covers.
+struct GroupBodyCase {
+  std::vector<uint64_t> Floats;
+  std::vector<ArgValue> Scalars;
+  uint64_t Width = 0, Height = 0;
+};
+
+GroupBodyCase groupBodyCase(const std::string &Name, int64_t N, int64_t M) {
+  auto I = ArgValue::scalarInt;
+  auto F = ArgValue::scalarFp;
+  uint64_t NM = N * M, NN = N * N, MM = M * M;
+  uint64_t Nu = N, Mu = M;
+  if (Name == "syrk_kernel")
+    return {{NM, NN, 0, 0, 0, 0}, {{}, {}, F(1.3), F(0.7), I(N), I(M)}, Nu,
+            Nu};
+  if (Name == "syr2k_kernel")
+    return {{NM, NM, NN, 0, 0, 0, 0},
+            {{}, {}, {}, F(1.1), F(0.6), I(N), I(M)},
+            Nu,
+            Nu};
+  if (Name == "corr_corr_kernel" || Name == "corr_corr_kernel_cpuopt")
+    return {{NM, MM, 0, 0}, {{}, {}, I(N), I(M)}, Mu, Mu};
+  ADD_FAILURE() << Name << " has a group body but no equivalence case";
+  return {};
+}
+
+uint64_t roundUp(uint64_t X, uint64_t To) { return (X + To - 1) / To * To; }
+
+/// Runs flat groups [Begin, End) of \p Kernel over \p Range once per item
+/// through executeWorkGroup and once through executeGroups (which picks the
+/// group body), from identical random buffers, and expects every buffer,
+/// inputs included, to come out byte-identical.
+void expectGroupBodyMatchesItems(const KernelInfo &Kernel,
+                                 const GroupBodyCase &Case,
+                                 const NDRange &Range, uint64_t Begin,
+                                 uint64_t End, uint64_t Seed) {
+  std::vector<std::vector<float>> PerItem(Case.Floats.size()),
+      PerGroup(Case.Floats.size());
+  std::vector<ArgValue> ItemArgs = Case.Scalars, GroupArgs = Case.Scalars;
+  Rng R(Seed);
+  for (size_t A = 0; A < Case.Floats.size(); ++A) {
+    if (Case.Floats[A] == 0)
+      continue;
+    PerItem[A].resize(Case.Floats[A]);
+    for (float &X : PerItem[A])
+      X = static_cast<float>(R.nextInRange(-1.0, 1.0));
+    PerGroup[A] = PerItem[A];
+    ItemArgs[A] = bufArg(PerItem[A]);
+    GroupArgs[A] = bufArg(PerGroup[A]);
+  }
+  const ArgsView ItemView(ItemArgs), GroupView(GroupArgs);
+  for (uint64_t Flat = Begin; Flat < End; ++Flat)
+    executeWorkGroup(Kernel, Range, unflattenGroupId(Flat, Range.numGroups()),
+                     ItemView, nullptr);
+  executeGroups(Kernel, Range, GroupView, Begin, End);
+  for (size_t A = 0; A < Case.Floats.size(); ++A) {
+    if (Case.Floats[A] == 0)
+      continue;
+    EXPECT_EQ(std::memcmp(PerItem[A].data(), PerGroup[A].data(),
+                          PerItem[A].size() * sizeof(float)),
+              0)
+        << Kernel.Name << " argument " << A << " on " << Range.globalSize().X
+        << "x" << Range.globalSize().Y << " in groups of "
+        << Range.localSize().X << "x" << Range.localSize().Y << ", groups ["
+        << Begin << ", " << End << ")";
+  }
+}
+
+TEST(KernelGroupBodyTest, MatchesPerItemBodyBitwise) {
+  Registry &Reg = Registry::builtin();
+  for (const char *Name : {"syrk_kernel", "syr2k_kernel", "corr_corr_kernel",
+                           "corr_corr_kernel_cpuopt"})
+    EXPECT_TRUE(Reg.get(Name).GroupFn) << Name;
+
+  struct Shape {
+    int64_t N, M;
+    uint64_t RangeX, RangeY; // 0: the problem's extent rounded up
+    uint64_t LocalX, LocalY;
+  };
+  const Shape Shapes[] = {
+      {64, 40, 0, 0, 32, 8},
+      {45, 77, 0, 0, 32, 8},
+      {40, 40, 64, 64, 32, 8}, // Wider than the problem: guarded items run.
+      {45, 77, 0, 0, 128, 2},  // Rows longer than one block of CORR sums.
+  };
+  uint64_t Seed = 1, Tested = 0;
+  for (const std::string &Name : Reg.names()) {
+    const KernelInfo &Kernel = Reg.get(Name);
+    if (!Kernel.GroupFn)
+      continue;
+    ++Tested;
+    for (const Shape &S : Shapes) {
+      GroupBodyCase Case = groupBodyCase(Name, S.N, S.M);
+      if (Case.Floats.empty())
+        break;
+      NDRange Range = NDRange::of2D(
+          S.RangeX ? S.RangeX : roundUp(Case.Width, S.LocalX),
+          S.RangeY ? S.RangeY : roundUp(Case.Height, S.LocalY), S.LocalX,
+          S.LocalY);
+      uint64_t Total = Range.totalGroups();
+      // The full range, a GPU wave's head and a CPU subkernel's tail.
+      expectGroupBodyMatchesItems(Kernel, Case, Range, 0, Total, Seed++);
+      expectGroupBodyMatchesItems(Kernel, Case, Range, 0, Total / 3, Seed++);
+      expectGroupBodyMatchesItems(Kernel, Case, Range, Total / 3 + 1, Total,
+                                  Seed++);
+    }
+  }
+  EXPECT_EQ(Tested, 4u);
 }
 
 // --- Vector / barrier kernels ----------------------------------------------------
