@@ -7,6 +7,7 @@
 #include "cluster/Cluster.h"
 
 #include "prof/Profiler.h"
+#include "race/Bridge.h"
 #include "race/Race.h"
 #include "support/Error.h"
 #include "support/Format.h"
@@ -29,7 +30,16 @@ std::string ClusterConfig::validate() const {
   if (Worker.Arrival.Kind == serve::ArrivalKind::Closed)
     return "--arrival=closed:* is not supported by the cluster (think "
            "loops would couple worker clocks)";
-  return Worker.validate();
+  if (std::string Invalid = Worker.validate(); !Invalid.empty())
+    return Invalid;
+  double WindowEpochs = Worker.Horizon.toSeconds() / Quantum.toSeconds();
+  if (WindowEpochs > static_cast<double>(MaxEpochs / 2))
+    return formatString("--quantum-ms must be >= %g for --duration=%g (got "
+                        "%g): the window may span at most %llu epochs",
+                        Worker.Horizon.toMillis() / (MaxEpochs / 2),
+                        Worker.Horizon.toSeconds(), Quantum.toMillis(),
+                        static_cast<unsigned long long>(MaxEpochs / 2));
+  return "";
 }
 
 Cluster::Cluster(ClusterConfig C)
@@ -43,8 +53,10 @@ Cluster::Cluster(ClusterConfig C)
     auto W = std::make_unique<Worker>();
     W->Index = I;
     W->OutboxObj = formatString("cluster.outbox#%d", I);
+    // The master arms the race analyzer and collects its findings once for
+    // all workers.
     serve::EngineConfig EC = Cfg.Worker;
-    EC.External = true;
+    EC.Races = check::Policy::Off;
     EC.Tracer = nullptr;
     if (Cfg.Worker.Tracer) {
       // Each worker records into a private tracer on its own thread; the
@@ -66,25 +78,16 @@ Cluster::Cluster(ClusterConfig C)
 Cluster::~Cluster() = default;
 
 void Cluster::drawArrivals() {
-  // All arrivals are a pure function of (seed, stream), drawn with the
-  // exact RNG call order of serve's open-loop generator, then merged into
-  // one cluster-wide sequence. stable_sort keeps equal timestamps in
-  // stream-major order, so job ids - and therefore placement - are
-  // deterministic.
-  for (int S = 0; S < Cfg.Worker.Streams; ++S) {
-    serve::StreamGen G(Cfg.Worker.Seed, S, Templates);
-    Duration At = Cfg.Worker.Arrival.Kind == serve::ArrivalKind::Uniform
-                      ? G.initialPhase(Cfg.Worker.Arrival)
-                      : G.interarrival(Cfg.Worker.Arrival);
-    while (At <= Cfg.Worker.Horizon) {
-      const serve::JobTemplate &T = G.pickTemplate();
-      Draws.push_back(
-          {TimePoint() + At, S, static_cast<int>(&T - Templates.data())});
-      At += G.interarrival(Cfg.Worker.Arrival);
-    }
-  }
+  // serve's draw, merged into one cluster-wide sequence. stable_sort keeps
+  // equal timestamps in stream-major order, so job ids - and therefore
+  // placement - are deterministic.
+  Draws = serve::drawOpenLoop(Cfg.Worker.Seed, Cfg.Worker.Streams,
+                              Cfg.Worker.Arrival, Cfg.Worker.Horizon,
+                              Templates);
   std::stable_sort(Draws.begin(), Draws.end(),
-                   [](const Draw &A, const Draw &B) { return A.At < B.At; });
+                   [](const serve::Arrival &A, const serve::Arrival &B) {
+                     return A.At < B.At;
+                   });
   Jobs.resize(Draws.size());
   for (size_t I = 0; I < Draws.size(); ++I) {
     ClusterJobRecord &J = Jobs[I];
@@ -98,7 +101,7 @@ void Cluster::drawArrivals() {
   }
 }
 
-int Cluster::placeJob(const Draw &D) {
+int Cluster::placeJob(const serve::Arrival &D) {
   switch (Cfg.Place) {
   case Placement::HashAffine:
     return static_cast<int>(
@@ -122,7 +125,7 @@ int Cluster::placeJob(const Draw &D) {
   return 0;
 }
 
-void Cluster::injectDraw(uint64_t Id, const Draw &D, int WI) {
+void Cluster::injectDraw(uint64_t Id, const serve::Arrival &D, int WI) {
   Worker &W = *Workers[WI];
   Jobs[Id].FirstWorker = WI;
   Jobs[Id].Worker = WI;
@@ -244,10 +247,7 @@ void Cluster::workerMain(Worker &W) {
 ClusterReport Cluster::run() {
   race::Analyzer &A = race::Analyzer::instance();
   RacesOn = Cfg.Worker.Races != check::Policy::Off;
-  if (RacesOn) {
-    A.reset();
-    A.setEnabled(true);
-  }
+  race::armAnalyzer(Cfg.Worker.Races);
   drawArrivals();
 
   std::vector<std::thread> Threads;
@@ -269,7 +269,8 @@ ClusterReport Cluster::run() {
       AllQuiet = AllQuiet && W->Eng->quiescent();
     if (AllInjected && AllQuiet)
       break;
-    FCL_CHECK(EpochsRun < Cfg.MaxEpochs, "cluster failed to quiesce");
+    FCL_CHECK(EpochsRun < ClusterConfig::MaxEpochs,
+              "cluster failed to quiesce");
     TimePoint EpochStart =
         TimePoint() + Cfg.Quantum * static_cast<int64_t>(EpochIdx);
     TimePoint EpochEnd = EpochStart + Cfg.Quantum;
@@ -308,7 +309,7 @@ ClusterReport Cluster::run() {
   std::vector<serve::ServeReport> WReps;
   WReps.reserve(Workers.size());
   for (auto &W : Workers) {
-    serve::ServeReport R = W->Eng->finishExternal();
+    serve::ServeReport R = W->Eng->finish();
     Rep.CheckErrors += R.CheckErrors;
     Rep.CheckWarnings += R.CheckWarnings;
     for (const std::string &L : R.CheckDiags)

@@ -65,12 +65,15 @@ struct ClusterConfig {
   /// would couple worker clocks); validate() rejects them.
   serve::EngineConfig Worker;
 
-  /// Upper bound on fabric epochs, as a quiescence failsafe.
-  uint64_t MaxEpochs = 1u << 22;
+  /// Upper bound on fabric epochs, as a quiescence failsafe. validate()
+  /// keeps the admission window to at most half of them, which leaves the
+  /// drain at least as many again.
+  static constexpr uint64_t MaxEpochs = 1u << 22;
 
-  /// Range rules for the cluster fields, then Worker.validate(): empty
-  /// when valid, else a one-line message naming the tool option. The tool
-  /// prints it; Cluster's constructor FCL_CHECKs it.
+  /// Range rules for the cluster fields, then Worker.validate(), then the
+  /// window's epoch count: empty when valid, else a one-line message naming
+  /// the tool option. The tool prints it; Cluster's constructor FCL_CHECKs
+  /// it.
   std::string validate() const;
 };
 
@@ -108,16 +111,9 @@ private:
     std::vector<double> E2eMs;
   };
 
-  /// A pre-drawn cluster arrival.
-  struct Draw {
-    TimePoint At;
-    int Stream = 0;
-    int TemplateIdx = 0;
-  };
-
   void drawArrivals();
-  int placeJob(const Draw &D);
-  void injectDraw(uint64_t Id, const Draw &D, int W);
+  int placeJob(const serve::Arrival &D);
+  void injectDraw(uint64_t Id, const serve::Arrival &D, int W);
   void drainOutboxes();
   void stealPass(TimePoint EpochStart);
   void workerMain(Worker &W);
@@ -127,7 +123,8 @@ private:
   ClusterConfig Cfg;
   std::vector<serve::JobTemplate> Templates;
   std::vector<std::unique_ptr<Worker>> Workers;
-  std::vector<Draw> Draws;
+  /// The cluster-wide load, sorted by arrival time.
+  std::vector<serve::Arrival> Draws;
   std::vector<ClusterJobRecord> Jobs;
   EpochBarrier Barrier;
   /// Master-only RNG for steal-transfer jitter.

@@ -34,7 +34,7 @@ namespace dag {
 
 /// One kernel launch inside a compound job.
 struct Node {
-  /// Index into Workload::Calls (and into Graph::nodes()).
+  /// Index into Workload::Calls; Graph::node(Index) is this node.
   size_t Index = 0;
   /// Kernel name (copied out of the call for cheap access in traces).
   std::string Kernel;
@@ -60,7 +60,6 @@ public:
   /// with its registered kernel.
   static Graph fromWorkload(const work::Workload &W);
 
-  const std::vector<Node> &nodes() const { return Nodes; }
   size_t size() const { return Nodes.size(); }
   const Node &node(size_t I) const { return Nodes[I]; }
 

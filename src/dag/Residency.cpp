@@ -9,18 +9,6 @@
 using namespace fcl;
 using namespace fcl::dag;
 
-const char *fcl::dag::locName(Loc L) {
-  switch (L) {
-  case Loc::Host:
-    return "host";
-  case Loc::Gpu:
-    return "gpu";
-  case Loc::Cpu:
-    return "cpu";
-  }
-  return "?";
-}
-
 bool fcl::dag::parsePlacement(const std::string &Name, Placement &Out) {
   if (Name == "residency") {
     Out = Placement::Residency;

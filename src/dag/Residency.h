@@ -31,8 +31,6 @@ namespace dag {
 /// A memory that can hold a buffer copy.
 enum class Loc : uint8_t { Host = 0, Gpu = 1, Cpu = 2 };
 
-const char *locName(Loc L);
-
 /// How DagJobExec places DAG nodes on the pair.
 enum class Placement {
   /// Residency-scored: each ready node goes to the device minimizing
@@ -74,8 +72,6 @@ class ResidencyTracker {
 public:
   explicit ResidencyTracker(size_t NumBuffers)
       : Valid(NumBuffers, hostBit()), Version(NumBuffers, 0) {}
-
-  size_t numBuffers() const { return Valid.size(); }
 
   /// True when \p At holds the current version of buffer \p B.
   bool has(size_t B, Loc At) const { return (Valid[B] & bit(At)) != 0; }

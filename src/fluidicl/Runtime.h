@@ -116,8 +116,6 @@ public:
     ChunkYield = std::move(Hook);
   }
 
-  const Options &options() const { return Opts; }
-
   /// True when every queue is idle, no DH transfer or host step is pending
   /// and no kernel execution is referenced from a pending event or
   /// callback: nothing of this runtime is left in flight, so finish()

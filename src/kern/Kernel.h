@@ -93,10 +93,6 @@ public:
   template <typename T> T *bufferAs(size_t I) const {
     return reinterpret_cast<T *>((*this)[I].Data);
   }
-  /// Element count of a buffer argument interpreted as T.
-  template <typename T> uint64_t bufferLen(size_t I) const {
-    return (*this)[I].Size / sizeof(T);
-  }
   int64_t i64(size_t I) const { return (*this)[I].IntValue; }
   double f64(size_t I) const { return (*this)[I].FpValue; }
 

@@ -49,7 +49,6 @@ public:
 
   sim::Simulator &simulator() { return Sim; }
   const hw::Machine &machine() const { return M; }
-  ExecMode execMode() const { return Mode; }
   bool functional() const { return Mode == ExecMode::Functional; }
 
   Device &cpu() { return *Cpu; }
@@ -88,10 +87,9 @@ public:
   void setTracer(trace::Tracer *T) { ActiveTracer = T; }
   trace::Tracer *tracer() const { return ActiveTracer; }
 
-  /// Write/Read commands in flight right now, across all queues. Command
-  /// queues keep this current; the attached tracer gets an "Outstanding
+  /// Write/Read commands in flight across all queues: command queues keep
+  /// the count current, and the attached tracer gets an "Outstanding
   /// transfers" counter sample on every change.
-  int outstandingTransfers() const { return OutstandingTransfers; }
   void noteTransferStart() {
     ++OutstandingTransfers;
     sampleOutstandingTransfers();

@@ -55,8 +55,6 @@ class KernelObject {
 public:
   KernelObject(const Program &Prog, const std::string &Name);
 
-  const kern::KernelInfo &info() const { return *Info; }
-
   /// Binds a buffer argument.
   void setArgBuffer(size_t Index, Buffer *Buf);
   /// Binds an integer scalar argument.

@@ -118,11 +118,6 @@ public:
   /// Current simulated time (total-running-time measurements).
   TimePoint now() const { return Ctx.now(); }
 
-  /// Runtime counters and gauges accumulated so far (bytes moved, task
-  /// placement, cache hits, ...). Every implementation adds to this as it
-  /// runs; counter names are catalogued in docs/OBSERVABILITY.md.
-  const stats::Registry &statsRegistry() const { return Stats; }
-
   /// Adds everything this runtime knows into \p Report: the counter
   /// registry plus, for implementations that track per-launch records
   /// (FluidiCL), one LaunchStats per kernel launch.
@@ -132,8 +127,11 @@ protected:
   explicit HeteroRuntime(mcl::Context &Ctx) : Ctx(Ctx) {}
 
   mcl::Context &Ctx;
-  /// Mutable so const query paths (readBuffer routing decisions live in
-  /// non-const methods, but name()/collectStats stay const) can account.
+  /// Counters and gauges accumulated so far (bytes moved, task placement,
+  /// cache hits, ...), which collectStats reports; names are catalogued in
+  /// docs/OBSERVABILITY.md. Mutable so const query paths (readBuffer
+  /// routing decisions live in non-const methods, but name()/collectStats
+  /// stay const) can account.
   mutable stats::Registry Stats;
 };
 

@@ -60,7 +60,7 @@ Engine::Engine(EngineConfig C) : Cfg(std::move(C)) {
       Hosts.emplace_back(T.W);
   Ctx = std::make_unique<mcl::Context>(Cfg.M, Cfg.Mode);
   Ctx->setTracer(Cfg.Tracer);
-  if (!Cfg.External) {
+  if (Cfg.Arrival.Kind == ArrivalKind::Closed) {
     Gens.reserve(Cfg.Streams);
     for (int S = 0; S < Cfg.Streams; ++S)
       Gens.emplace_back(Cfg.Seed, S, Templates);
@@ -77,41 +77,12 @@ Engine::Engine(EngineConfig C) : Cfg(std::move(C)) {
 
 Engine::~Engine() = default;
 
-Engine::Req *Engine::newRequest(int Stream) {
-  auto R = std::make_unique<Req>();
-  R->Id = NextId++;
-  R->Stream = Stream;
-  R->T = &Gens[Stream].pickTemplate();
-  R->Large = R->T->MaxGroups >= Cfg.LargeThreshold;
-  Req *Raw = R.get();
-  Requests.push_back(std::move(R));
-  return Raw;
-}
-
-void Engine::scheduleOpenLoopArrivals() {
-  // All arrivals are a pure function of (seed, stream): pre-drawn here and
-  // scheduled up front, in stream-major order. Equal timestamps fire in
-  // schedule order, so the whole run is deterministic.
-  sim::Simulator &Sim = Ctx->simulator();
-  for (int S = 0; S < Cfg.Streams; ++S) {
-    StreamGen &G = Gens[S];
-    Duration At = Cfg.Arrival.Kind == ArrivalKind::Uniform
-                      ? G.initialPhase(Cfg.Arrival)
-                      : G.interarrival(Cfg.Arrival);
-    while (At <= Cfg.Horizon) {
-      Req *R = newRequest(S);
-      Sim.scheduleAt(TimePoint() + At, [this, R] { onArrival(R); });
-      At += G.interarrival(Cfg.Arrival);
-    }
-  }
-}
-
 void Engine::scheduleClosedLoopNext(int Stream, Duration Delay) {
   TimePoint At = Ctx->now() + Delay;
   if (At - TimePoint() > Cfg.Horizon)
     return; // The stream's session ends inside the admission window.
-  Req *R = newRequest(Stream);
-  Ctx->simulator().scheduleAt(At, [this, R] { onArrival(R); });
+  const JobTemplate &T = Gens[Stream].pickTemplate();
+  injectJob(NextId, static_cast<int>(&T - Templates.data()), Stream, At);
 }
 
 void Engine::sampleQueueDepth() {
@@ -136,7 +107,7 @@ void Engine::onArrival(Req *R) {
                          formatString("req %llu stream %d (%s)",
                                       static_cast<unsigned long long>(R->Id),
                                       R->Stream, R->T->W.Name.c_str()));
-    if (Cfg.Arrival.Kind == ArrivalKind::Closed && !Cfg.External)
+    if (Cfg.Arrival.Kind == ArrivalKind::Closed)
       scheduleClosedLoopNext(R->Stream, Gens[R->Stream].think(Cfg.Arrival));
     emitOutcome(R);
     return;
@@ -230,18 +201,8 @@ void Engine::startDag(Req *R) {
   // A compound job owns both devices for its duration. Leases are taken
   // before start(): the job's set-up is a chain of host steps, and other
   // completions (which dispatch again) fire between them.
-  GpuJob = R;
-  CpuJob = R;
-  GpuLeaseStart = Ctx->now();
-  CpuLeaseStart = Ctx->now();
-  if (race::Analyzer::enabled()) {
-    race::Analyzer::instance().leaseAcquire(
-        GpuLeaseName,
-        formatString("req %llu", static_cast<unsigned long long>(R->Id)));
-    race::Analyzer::instance().leaseAcquire(
-        CpuLeaseName,
-        formatString("req %llu", static_cast<unsigned long long>(R->Id)));
-  }
+  takeLease(R, /*OnGpu=*/true);
+  takeLease(R, /*OnGpu=*/false);
   R->Exec = std::make_unique<dag::DagJobExec>(*Ctx, R->T->W, *R->T->Dag,
                                               Cfg.DagPlace, hostFor(R),
                                               Cfg.Validate, &DagTotals,
@@ -256,20 +217,9 @@ void Engine::startCoop(Req *R) {
   // Leases are taken before start(): the job's set-up is a chain of host
   // steps (API overheads), and other completions, which dispatch again,
   // fire between them.
-  GpuJob = R;
-  GpuLeaseStart = Ctx->now();
-  if (race::Analyzer::enabled())
-    race::Analyzer::instance().leaseAcquire(
-        GpuLeaseName,
-        formatString("req %llu", static_cast<unsigned long long>(R->Id)));
-  if (Cfg.P == Policy::FifoExclusive) {
-    CpuJob = R;
-    CpuLeaseStart = Ctx->now();
-    if (race::Analyzer::enabled())
-      race::Analyzer::instance().leaseAcquire(
-          CpuLeaseName,
-          formatString("req %llu", static_cast<unsigned long long>(R->Id)));
-  }
+  takeLease(R, /*OnGpu=*/true);
+  if (Cfg.P == Policy::FifoExclusive)
+    takeLease(R, /*OnGpu=*/false);
   auto Exec = std::make_unique<CoopJobExec>(*Ctx, R->T->W, Cfg.FclOpts,
                                             hostFor(R), Cfg.Validate,
                                             RaceSec);
@@ -286,23 +236,34 @@ void Engine::startSingle(Req *R, bool OnGpu, bool Backfill) {
   R->Placement = Backfill ? "cpu-backfill" : (OnGpu ? "gpu" : "cpu");
   if (OnGpu) {
     ++GpuSingleN;
-    GpuJob = R;
-    GpuLeaseStart = Ctx->now();
   } else {
     ++CpuSingleN;
     if (Backfill)
       ++BackfillN;
-    CpuJob = R;
-    CpuLeaseStart = Ctx->now();
   }
-  if (race::Analyzer::enabled())
-    race::Analyzer::instance().leaseAcquire(
-        OnGpu ? GpuLeaseName : CpuLeaseName,
-        formatString("req %llu", static_cast<unsigned long long>(R->Id)));
+  takeLease(R, OnGpu);
   R->Exec = std::make_unique<SingleJobExec>(
       *Ctx, OnGpu ? Ctx->gpu() : Ctx->cpu(), R->T->W, hostFor(R),
       Cfg.Validate, RaceSec);
   R->Exec->start([this, R] { jobDone(R); });
+}
+
+void Engine::takeLease(Req *R, bool OnGpu) {
+  (OnGpu ? GpuJob : CpuJob) = R;
+  (OnGpu ? GpuLeaseStart : CpuLeaseStart) = Ctx->now();
+  if (race::Analyzer::enabled())
+    race::Analyzer::instance().leaseAcquire(
+        OnGpu ? GpuLeaseName : CpuLeaseName,
+        formatString("req %llu", static_cast<unsigned long long>(R->Id)));
+}
+
+void Engine::releaseLease(bool OnGpu) {
+  (OnGpu ? GpuBusyNs : CpuBusyNs) +=
+      (Ctx->now() - (OnGpu ? GpuLeaseStart : CpuLeaseStart)).nanos();
+  (OnGpu ? GpuJob : CpuJob) = nullptr;
+  if (race::Analyzer::enabled())
+    race::Analyzer::instance().leaseRelease(OnGpu ? GpuLeaseName
+                                                  : CpuLeaseName);
 }
 
 void Engine::setCorunCpuBusy(bool Busy) {
@@ -384,18 +345,10 @@ void Engine::jobDone(Req *R) {
 
   bool WasCoop = GpuJob == R && (Cfg.P != Policy::DeviceAffine);
   bool WasBackfill = std::string_view(R->Placement) == "cpu-backfill";
-  if (GpuJob == R) {
-    GpuBusyNs += (Ctx->now() - GpuLeaseStart).nanos();
-    GpuJob = nullptr;
-    if (race::Analyzer::enabled())
-      race::Analyzer::instance().leaseRelease(GpuLeaseName);
-  }
-  if (CpuJob == R) {
-    CpuBusyNs += (Ctx->now() - CpuLeaseStart).nanos();
-    CpuJob = nullptr;
-    if (race::Analyzer::enabled())
-      race::Analyzer::instance().leaseRelease(CpuLeaseName);
-  }
+  if (GpuJob == R)
+    releaseLease(/*OnGpu=*/true);
+  if (CpuJob == R)
+    releaseLease(/*OnGpu=*/false);
   if (WasCoop && Cfg.P == Policy::FluidicCorun) {
     // The cooperative job is gone: close its CPU span and drop any resumes
     // still parked for it (they would no-op anyway).
@@ -403,7 +356,7 @@ void Engine::jobDone(Req *R) {
     PendingResumes.clear();
   }
 
-  if (Cfg.Arrival.Kind == ArrivalKind::Closed && !Cfg.External)
+  if (Cfg.Arrival.Kind == ArrivalKind::Closed)
     scheduleClosedLoopNext(R->Stream, Gens[R->Stream].think(Cfg.Arrival));
 
   emitOutcome(R);
@@ -418,7 +371,7 @@ void Engine::jobDone(Req *R) {
 HostData *Engine::hostFor(const Req *R) {
   if (Hosts.empty())
     return nullptr;
-  return &Hosts[static_cast<size_t>(R->T - Templates.data())];
+  return &Hosts[static_cast<size_t>(R->TemplateIdx)];
 }
 
 void Engine::retireQuiescent() {
@@ -461,13 +414,11 @@ void Engine::emitOutcome(Req *R) {
 }
 
 void Engine::setOutcomeFn(std::function<void(const JobOutcome &)> Fn) {
-  FCL_CHECK(Cfg.External, "outcome hook is for embedded engines");
   Outcome = std::move(Fn);
 }
 
 void Engine::injectJob(uint64_t ClusterId, int TemplateIdx, int Stream,
                        TimePoint At) {
-  FCL_CHECK(Cfg.External, "injectJob is for embedded engines");
   FCL_CHECK(TemplateIdx >= 0 &&
                 static_cast<size_t>(TemplateIdx) < Templates.size(),
             "job template index out of range");
@@ -484,7 +435,6 @@ void Engine::injectJob(uint64_t ClusterId, int TemplateIdx, int Stream,
 }
 
 bool Engine::stealQueued(StolenJob &Out) {
-  FCL_CHECK(Cfg.External, "stealQueued is for embedded engines");
   if (Ready.empty())
     return false;
   // The master holds this engine's would-be lock (the fabric barrier is
@@ -537,33 +487,7 @@ size_t Engine::liveExecutors() const {
   return N;
 }
 
-TimePoint Engine::now() const { return Ctx->now(); }
-
-ServeReport Engine::finishExternal() {
-  FCL_CHECK(Cfg.External, "finishExternal is for embedded engines");
-  ServeReport Report = finalize();
-  for (Req *R : Retiring)
-    R->Exec.reset();
-  Retiring.clear();
-  return Report;
-}
-
-ServeReport Engine::run() {
-  FCL_CHECK(!Cfg.External,
-            "embedded engines are driven by the cluster master");
-  if (Cfg.Races != check::Policy::Off) {
-    race::Analyzer &A = race::Analyzer::instance();
-    A.reset();
-    A.setEnabled(true);
-  }
-  if (Cfg.Arrival.Kind == ArrivalKind::Closed) {
-    for (int S = 0; S < Cfg.Streams; ++S)
-      scheduleClosedLoopNext(S, Gens[S].initialPhase(Cfg.Arrival));
-  } else {
-    scheduleOpenLoopArrivals();
-  }
-  // Drain everything: arrivals, jobs, trailing cooperative transfers.
-  Ctx->simulator().run();
+ServeReport Engine::finish() {
   ServeReport Report = finalize();
   // The drained run left every executor quiescent; those no engine
   // callback retired (the last jobs') go now, after the report, so the
@@ -574,12 +498,29 @@ ServeReport Engine::run() {
   return Report;
 }
 
+ServeReport Engine::run() {
+  race::armAnalyzer(Cfg.Races);
+  if (Cfg.Arrival.Kind == ArrivalKind::Closed) {
+    for (int S = 0; S < Cfg.Streams; ++S)
+      scheduleClosedLoopNext(S, Gens[S].initialPhase(Cfg.Arrival));
+  } else {
+    // Injected in draw order, so request ids and the schedule order of
+    // equal-time arrivals are stream-major.
+    for (const Arrival &A : drawOpenLoop(Cfg.Seed, Cfg.Streams, Cfg.Arrival,
+                                         Cfg.Horizon, Templates))
+      injectJob(NextId, A.TemplateIdx, A.Stream, A.At);
+  }
+  // Drain everything: arrivals, jobs, trailing cooperative transfers.
+  Ctx->simulator().run();
+  return finish();
+}
+
 void fcl::serve::fillReportCore(ReportCore &R, const EngineConfig &Cfg,
                                 const std::vector<double> &QueueMs,
                                 const std::vector<double> &ServiceMs,
                                 const std::vector<double> &E2eMs) {
   R.RacesEnabled = Cfg.Races != check::Policy::Off;
-  if (!Cfg.External && R.RacesEnabled) {
+  if (R.RacesEnabled) {
     check::DiagSink Sink(check::Policy::Warn);
     race::disarmAnalyzer(Sink);
     R.RaceFindings = Sink.diags().size();

@@ -81,14 +81,9 @@ struct EngineConfig {
   double SloMs = 0;
   /// Optional tracer: serve lanes + queue-depth counter track.
   trace::Tracer *Tracer = nullptr;
-  /// Embedded (cluster) mode: the engine admits only jobs injected by a
-  /// cluster master (injectJob), which also drives the simulator clock in
-  /// epoch quanta (advanceTo) and collects results via the outcome hook.
-  /// run() must not be called; the master calls finishExternal() instead.
-  bool External = false;
 
   /// Caps on the load a configuration may ask for, checked before anything
-  /// is allocated: the engine holds one generator per stream, and every
+  /// is allocated: a closed loop holds one generator per stream, and every
   /// open-loop arrival is drawn up front (the largest run in the repo
   /// draws about 192k).
   static constexpr int MaxStreams = 1000000;
@@ -102,10 +97,10 @@ struct EngineConfig {
 
 /// Fills the report fields every tier shares from \p Cfg and the completed
 /// jobs' latency samples (ms): the configuration echo, latency summaries,
-/// SLO verdict and analysis switches. For a top-level run (not External)
-/// with races armed it first stops the fcl::race analyzer and renders its
-/// findings into \p R, so call it before any teardown the analyzer must not
-/// observe; the cluster master collects them for its embedded workers.
+/// SLO verdict and analysis switches. With races armed it first stops the
+/// fcl::race analyzer and renders its findings into \p R, so call it before
+/// any teardown the analyzer must not observe. The cluster master collects
+/// them once for all its workers, whose own configurations leave races off.
 /// Counts, makespan, validation and check diagnostics are the caller's.
 void fillReportCore(ReportCore &R, const EngineConfig &Cfg,
                     const std::vector<double> &QueueMs,
@@ -139,22 +134,24 @@ public:
   explicit Engine(EngineConfig Cfg);
   ~Engine();
 
-  /// Generates the load, runs the simulation to completion and returns
-  /// the aggregate report. Self-driving mode only (not External).
+  /// Draws the load and injects it, runs the simulation to completion and
+  /// returns finish()'s report.
   ServeReport run();
 
-  // --- Embedded (cluster) operation: External mode only ------------------
+  // --- Driving the engine from outside ----------------------------------
   //
-  // The master owns all engine state between epochs (workers parked at
-  // the fabric barrier) and each worker owns its engine while its epoch
-  // quantum runs; these calls are made from whichever side currently
-  // holds ownership, never concurrently.
+  // A cluster master injects its placements and steals, pumps each epoch
+  // with advanceTo and ends with finish(), as run() does for serve's own
+  // load. The master owns the engine between epochs (workers parked at the
+  // fabric barrier) and its worker during one, never both at once.
 
   /// Installs the completion/rejection hook. Call once, before any
   /// injectJob.
   void setOutcomeFn(std::function<void(const JobOutcome &)> Fn);
-  /// Admits a cluster job: schedules its arrival at \p At on this
-  /// engine's simulator. \p TemplateIdx indexes jobTemplates(Cfg.Mix).
+  /// Admits a job, the one way a request is built: schedules its arrival
+  /// at \p At on this engine's simulator. \p TemplateIdx indexes
+  /// jobTemplates(Cfg.Mix); \p ClusterId is the caller's id for the job,
+  /// echoed in its JobOutcome and StolenJob.
   void injectJob(uint64_t ClusterId, int TemplateIdx, int Stream,
                  TimePoint At);
   /// Removes the newest still-queued request for migration to another
@@ -175,11 +172,11 @@ public:
   /// Executors alive right now: running jobs plus finished ones whose
   /// trailing work has not yet drained.
   size_t liveExecutors() const;
-  TimePoint now() const;
   const std::vector<JobTemplate> &templates() const { return Templates; }
-  /// Cluster-mode teardown: drains check diagnostics and builds this
-  /// worker's report (race findings are collected once, by the cluster).
-  ServeReport finishExternal();
+  /// Teardown once the simulator is drained: drains check diagnostics,
+  /// builds the report (collecting race findings if Cfg.Races is on), then
+  /// destroys the executors still alive.
+  ServeReport finish();
 
 private:
   struct Req {
@@ -194,16 +191,16 @@ private:
     bool Done = false;
     const char *Placement = "";
     std::unique_ptr<JobExec> Exec;
-    /// Cluster (External) bookkeeping.
+    /// The caller's id (injectJob) and T's index in Templates.
     uint64_t ClusterId = 0;
-    int TemplateIdx = -1;
+    int TemplateIdx = 0;
     /// Migrated away by stealQueued: excluded from local latency and
     /// completion accounting (the thief worker reports it).
     bool Stolen = false;
   };
 
-  Req *newRequest(int Stream);
-  void scheduleOpenLoopArrivals();
+  /// Injects \p Stream's next closed-loop request after \p Delay, unless
+  /// that falls past the admission window.
   void scheduleClosedLoopNext(int Stream, Duration Delay);
   void onArrival(Req *R);
   void dispatch();
@@ -214,6 +211,10 @@ private:
   /// True when the next queued request is a compound (DAG) job.
   bool headIsDag() const;
   void startSingle(Req *R, bool OnGpu, bool Backfill);
+  /// Grants \p R the GPU or CPU lease from now on.
+  void takeLease(Req *R, bool OnGpu);
+  /// Ends the GPU or CPU lease, adding its span to the device's busy time.
+  void releaseLease(bool OnGpu);
   void jobDone(Req *R);
   /// The host data of \p R's template in functional mode, else null.
   HostData *hostFor(const Req *R);
@@ -241,6 +242,8 @@ private:
   EngineConfig Cfg;
   std::vector<JobTemplate> Templates;
   std::unique_ptr<mcl::Context> Ctx;
+  /// One generator per stream, for closed loops only: their next request
+  /// is drawn when the previous one ends.
   std::vector<StreamGen> Gens;
   std::vector<std::unique_ptr<Req>> Requests;
   std::deque<Req *> Ready;

@@ -207,3 +207,22 @@ Duration StreamGen::initialPhase(const ArrivalSpec &A) {
                       : 1.0 / A.RatePerSec;
   return Duration::seconds(R.nextDouble() * Window);
 }
+
+std::vector<Arrival>
+fcl::serve::drawOpenLoop(uint64_t Seed, int Streams, const ArrivalSpec &A,
+                         Duration Horizon,
+                         const std::vector<JobTemplate> &Templates) {
+  std::vector<Arrival> Out;
+  for (int S = 0; S < Streams; ++S) {
+    StreamGen G(Seed, S, Templates);
+    Duration At = A.Kind == ArrivalKind::Uniform ? G.initialPhase(A)
+                                                 : G.interarrival(A);
+    while (At <= Horizon) {
+      const JobTemplate &T = G.pickTemplate();
+      Out.push_back({TimePoint() + At, S,
+                     static_cast<int>(&T - Templates.data())});
+      At += G.interarrival(A);
+    }
+  }
+  return Out;
+}

@@ -108,6 +108,23 @@ private:
   const std::vector<JobTemplate> *Templates;
 };
 
+/// One pre-drawn open-loop arrival.
+struct Arrival {
+  TimePoint At;
+  int Stream = 0;
+  /// Index into the template table the draw picked from.
+  int TemplateIdx = 0;
+};
+
+/// Every open-loop arrival of streams [0, \p Streams) up to \p Horizon, in
+/// stream-major order, each stream ascending. Stream S replays
+/// StreamGen(Seed, S): its first interarrival (uniform: its phase), then
+/// per arrival the template and the next interarrival. Both serving tiers
+/// draw their load here.
+std::vector<Arrival> drawOpenLoop(uint64_t Seed, int Streams,
+                                  const ArrivalSpec &A, Duration Horizon,
+                                  const std::vector<JobTemplate> &Templates);
+
 } // namespace serve
 } // namespace fcl
 

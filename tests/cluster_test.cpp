@@ -8,12 +8,14 @@
 
 #include "race/Race.h"
 
+#include <algorithm>
 #include <atomic>
 #include <gtest/gtest.h>
 #include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 
 using namespace fcl;
 using namespace fcl::cluster;
@@ -70,6 +72,24 @@ TEST(EpochBarrierTest, LockstepEpochsAndShutdown) {
 // Cluster runs
 //===----------------------------------------------------------------------===//
 
+// The admission window may span at most half of MaxEpochs, so the drain
+// has at least as many epochs again before the quiescence failsafe. A run
+// past that bound would take minutes and then abort; validate() says so
+// up front, in one line.
+TEST(ClusterTest, ValidateBoundsTheWindowInEpochs) {
+  ClusterConfig Cfg = baseConfig(2);
+  Cfg.Worker.Horizon = Duration::seconds(1);
+  const uint64_t Half = ClusterConfig::MaxEpochs / 2;
+  Cfg.Quantum = Duration::nanoseconds(1000000000 / Half + 1);
+  EXPECT_EQ(Cfg.validate(), "");
+  Cfg.Quantum = Duration::nanoseconds(1000000000 / Half);
+  std::string Err = Cfg.validate();
+  EXPECT_EQ(Err.rfind("--quantum-ms must be >= ", 0), 0u) << Err;
+  EXPECT_EQ(Err.find('\n'), std::string::npos) << Err;
+  Cfg.Quantum = Duration::nanoseconds(100); // The 10M-epoch window.
+  EXPECT_NE(Cfg.validate(), "");
+}
+
 TEST(ClusterTest, ConservesEveryJob) {
   Cluster C(baseConfig(3));
   ClusterReport R = C.run();
@@ -105,17 +125,20 @@ TEST(ClusterTest, OneWorkerMatchesServe) {
   struct Shape {
     serve::Policy P;
     serve::MixKind Mix;
+    serve::ArrivalKind Kind = serve::ArrivalKind::Poisson;
   };
   for (Shape S : {Shape{serve::Policy::FluidicCorun, serve::MixKind::Mixed},
                   Shape{serve::Policy::DeviceAffine, serve::MixKind::Mixed},
                   Shape{serve::Policy::FluidicCorun, serve::MixKind::Pipeline},
                   Shape{serve::Policy::FifoExclusive, serve::MixKind::Mixed},
-                  Shape{serve::Policy::FluidicCorun, serve::MixKind::Large}}) {
+                  Shape{serve::Policy::FluidicCorun, serve::MixKind::Large},
+                  Shape{serve::Policy::FluidicCorun, serve::MixKind::Mixed,
+                        serve::ArrivalKind::Uniform}}) {
     serve::EngineConfig EC;
     EC.P = S.P;
     EC.Mix = S.Mix;
     EC.Streams = 16;
-    EC.Arrival.Kind = serve::ArrivalKind::Poisson;
+    EC.Arrival.Kind = S.Kind;
     EC.Arrival.RatePerSec = 150;
     EC.QueueDepth = 256;
     EC.Horizon = Duration::milliseconds(250);
@@ -126,7 +149,7 @@ TEST(ClusterTest, OneWorkerMatchesServe) {
     CC.Worker = EC;
     ClusterReport Clu = Cluster(CC).run();
     std::string Where = std::string(serve::policyName(S.P)) + " x " +
-                        serve::mixName(S.Mix);
+                        serve::mixName(S.Mix) + " x " + EC.Arrival.str();
     EXPECT_EQ(Serve.Submitted, Clu.Submitted) << Where;
     EXPECT_EQ(Serve.Rejected, Clu.Rejected) << Where;
     EXPECT_EQ(Serve.Completed, Clu.Completed) << Where;
@@ -142,6 +165,21 @@ TEST(ClusterTest, OneWorkerMatchesServe) {
     Same(Serve.QueueWait, Clu.QueueWait, "queue wait");
     Same(Serve.Service, Clu.Service, "service");
     Same(Serve.E2e, Clu.E2e, "e2e");
+    // Every request, matched by (arrival, stream): the same template,
+    // verdict, start and end.
+    using Row = std::tuple<int64_t, int, std::string, bool, int64_t, int64_t>;
+    std::vector<Row> ServeRows, CluRows;
+    for (const serve::RequestRecord &Q : Serve.Requests)
+      ServeRows.emplace_back(Q.ArrivalAt.nanos(), Q.Stream, Q.Workload,
+                             Q.Rejected, Q.StartAt.nanos(), Q.EndAt.nanos());
+    for (const ClusterJobRecord &J : Clu.Jobs)
+      CluRows.emplace_back(J.ArrivalAt.nanos(), J.Stream, J.Workload,
+                           J.Rejected, J.StartAt.nanos(), J.EndAt.nanos());
+    std::sort(ServeRows.begin(), ServeRows.end());
+    std::sort(CluRows.begin(), CluRows.end());
+    ASSERT_EQ(ServeRows.size(), CluRows.size()) << Where;
+    for (size_t I = 0; I < ServeRows.size(); ++I)
+      EXPECT_EQ(ServeRows[I], CluRows[I]) << Where << " request " << I;
   }
 }
 

@@ -131,6 +131,59 @@ TEST(LoadGenTest, PipelineMixCarriesDagTemplates) {
     EXPECT_EQ(T.Dag, nullptr);
 }
 
+TEST(ServeLoadGenTest, DrawOpenLoopReplaysStreamGen) {
+  std::vector<JobTemplate> Templs = jobTemplates(MixKind::Mixed);
+  const int Streams = 5;
+  const Duration Horizon = Duration::milliseconds(50);
+  const TimePoint End = TimePoint() + Horizon;
+  for (ArrivalKind Kind : {ArrivalKind::Poisson, ArrivalKind::Uniform}) {
+    ArrivalSpec Spec;
+    Spec.Kind = Kind;
+    Spec.RatePerSec = 400;
+    std::vector<Arrival> Got = drawOpenLoop(9, Streams, Spec, Horizon, Templs);
+    const char *Name = Kind == ArrivalKind::Uniform ? "uniform" : "poisson";
+    EXPECT_GT(Got.size(), static_cast<size_t>(Streams) * 10) << Name;
+    // Stream-major; each stream ascends and stays inside the window.
+    for (size_t I = 0; I < Got.size(); ++I) {
+      EXPECT_LE(Got[I].At, End) << Name;
+      if (I == 0)
+        continue;
+      if (Got[I].Stream == Got[I - 1].Stream) {
+        EXPECT_GE(Got[I].At, Got[I - 1].At) << Name;
+      } else {
+        EXPECT_EQ(Got[I].Stream, Got[I - 1].Stream + 1) << Name;
+      }
+    }
+    // A uniform stream starts at its phase and then ticks at the rate.
+    for (size_t I = 0; Kind == ArrivalKind::Uniform && I < Got.size(); ++I) {
+      if (I == 0 || Got[I].Stream != Got[I - 1].Stream) {
+        StreamGen G(9, Got[I].Stream, Templs);
+        EXPECT_EQ(Got[I].At.nanos(), G.initialPhase(Spec).nanos());
+      } else {
+        EXPECT_EQ((Got[I].At - Got[I - 1].At).nanos(),
+                  Duration::microseconds(2500).nanos());
+      }
+    }
+    // The same RNG call order as a hand replay of each stream's generator:
+    // the first interarrival (uniform: the phase), then per arrival its
+    // template and the next interarrival.
+    size_t Next = 0;
+    for (int S = 0; S < Streams; ++S) {
+      StreamGen G(9, S, Templs);
+      Duration At = Kind == ArrivalKind::Uniform ? G.initialPhase(Spec)
+                                                 : G.interarrival(Spec);
+      for (; At <= Horizon; At += G.interarrival(Spec)) {
+        ASSERT_LT(Next, Got.size()) << Name;
+        const Arrival &A = Got[Next++];
+        EXPECT_EQ(A.Stream, S) << Name;
+        EXPECT_EQ(A.At.nanos(), (TimePoint() + At).nanos()) << Name;
+        EXPECT_EQ(A.TemplateIdx, &G.pickTemplate() - Templs.data()) << Name;
+      }
+    }
+    EXPECT_EQ(Next, Got.size()) << Name;
+  }
+}
+
 TEST(LoadGenDeathTest, PickTemplateWithNoTemplatesFailsLoud) {
   // nextBelow(0) would be modulo-by-zero UB; the generator must abort with
   // a diagnostic instead of returning garbage.
@@ -235,11 +288,24 @@ TEST(ServeEngineTest, ClosedLoopHonorsOneOutstandingPerStream) {
   Cfg.Arrival.Kind = ArrivalKind::Closed;
   Cfg.Arrival.Think = Duration::milliseconds(1);
   Cfg.Streams = 4;
+  // A stream's next request arrives only once its previous one has ended,
+  // or been rejected. Request ids follow each stream's order.
+  auto ExpectOneOutstanding = [](const ServeReport &R) {
+    std::vector<const RequestRecord *> Prev(R.Streams, nullptr);
+    for (const RequestRecord &Req : R.Requests) {
+      if (const RequestRecord *P = Prev[Req.Stream]) {
+        EXPECT_GE(Req.ArrivalAt, P->Rejected ? P->ArrivalAt : P->EndAt)
+            << "request " << Req.Id << " of stream " << Req.Stream;
+      }
+      Prev[Req.Stream] = &Req;
+    }
+  };
   ServeReport R = runServe(Cfg);
   EXPECT_GT(R.Completed, 0u);
   // One outstanding request per stream can never overflow a queue as deep
   // as the stream count.
   EXPECT_EQ(R.Rejected, 0u);
+  ExpectOneOutstanding(R);
   // Latency decomposition must be internally consistent.
   for (const RequestRecord &Req : R.Requests) {
     if (Req.Rejected)
@@ -248,6 +314,12 @@ TEST(ServeEngineTest, ClosedLoopHonorsOneOutstandingPerStream) {
     EXPECT_GT(Req.serviceMs(), 0);
     EXPECT_NEAR(Req.e2eMs(), Req.queueWaitMs() + Req.serviceMs(), 1e-9);
   }
+  // A queue shallower than the stream count sheds requests; each stream
+  // still waits for its rejected request before sending the next.
+  Cfg.QueueDepth = 1;
+  ServeReport Shed = runServe(Cfg);
+  EXPECT_GT(Shed.Rejected, 0u);
+  ExpectOneOutstanding(Shed);
 }
 
 TEST(ServeEngineTest, SloViolationsCounted) {
@@ -304,12 +376,11 @@ TEST(ServeEngineTest, ReportJsonCarriesSchemaAndConfigEcho) {
 } // namespace
 
 TEST(ServeEngineTest, FinishedExecutorsAreRetiredOnceQuiescent) {
-  // An embedded engine driven in 1 ms epochs through a few thousand corun
+  // An engine driven from outside in 1 ms epochs through a few thousand corun
   // jobs, offered faster than the pair drains them. Between epochs it must
   // hold only the running jobs' executors plus the few finished ones whose
   // trailing work has not yet drained - not one per completed job.
   EngineConfig Cfg = baseConfig(Policy::FluidicCorun);
-  Cfg.External = true;
   Cfg.QueueDepth = 100000;
   Engine E(Cfg);
   uint64_t Completed = 0;
@@ -332,7 +403,7 @@ TEST(ServeEngineTest, FinishedExecutorsAreRetiredOnceQuiescent) {
   ASSERT_TRUE(E.quiescent());
   EXPECT_EQ(Completed, static_cast<uint64_t>(Jobs));
   EXPECT_LE(MaxLive, 8u);
-  ServeReport R = E.finishExternal();
+  ServeReport R = E.finish();
   EXPECT_EQ(R.Completed, static_cast<uint64_t>(Jobs));
   EXPECT_EQ(E.liveExecutors(), 0u);
 }

@@ -94,6 +94,10 @@ expect_error(range CLUSTER "--workers is out of range \\(got 1e10\\)"
 expect_error(range CHECK "--budget must be >= 1 \\(got -1\\)" --budget=-1)
 expect_error(range CHECK "--budget must be >= 1 \\(got 0\\)" --budget=0)
 expect_error(range CLUSTER "--quantum-ms must be > 0" --quantum-ms=0)
+# A quantum below a nanosecond rounds to none. Quanta too short for the
+# admission window are ClusterTest.ValidateBoundsTheWindowInEpochs inputs: a
+# regressed check runs millions of epochs before the failsafe aborts.
+expect_error(range CLUSTER "--quantum-ms" --quantum-ms=1e-9)
 expect_error(range CLUSTER "--link-us must be >= 0" --link-us=-5)
 # Junk numbers: every option with a numeric default takes one complete,
 # finite number.
