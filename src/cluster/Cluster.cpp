@@ -22,7 +22,8 @@ std::string ClusterConfig::validate() const {
   if (Workers < 1 || Workers > 64)
     return formatString("--workers must be in [1, 64] (got %d)", Workers);
   if (Quantum <= Duration::zero())
-    return formatString("--quantum-ms must be > 0 (got %g)",
+    return formatString("--quantum-ms must be > 0 (got %g): quanta round to "
+                        "whole simulated ns, so the least is 1e-06",
                         Quantum.toMillis());
   if (LinkLatency < Duration::zero())
     return formatString("--link-us must be >= 0 (got %g)",

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 using namespace fcl;
 using namespace fcl::kern;
@@ -51,9 +52,40 @@ void corrBody(const ItemCtx &Ctx, const ArgsView &Args) {
 /// Most items of one J1 row whose sums corrGroupBody advances together.
 constexpr int64_t CorrBlock = 32;
 
+/// Four floats from \p P, which need not be aligned.
+Float4 load4(const float *P) {
+  Float4 V = {};
+  std::memcpy(&V, P, sizeof V);
+  return V;
+}
+
+/// The sums of the CorrBlock items (J1, J2 + K) into \p Sum, advanced over
+/// I in eight vectors, one lane per item, each in corrBody's order.
+void corrFullBlock(const float *Data, int64_t N, int64_t M, int64_t J1,
+                   int64_t J2, float *Sum) {
+  static_assert(CorrBlock == 32, "eight four-lane sums");
+  Float4 S0 = {}, S1 = {}, S2 = {}, S3 = {}, S4 = {}, S5 = {}, S6 = {},
+         S7 = {};
+  for (int64_t I = 0; I < N; ++I) {
+    float D1 = Data[I * M + J1];
+    const float *Row = Data + I * M + J2;
+    S0 += D1 * load4(Row);
+    S1 += D1 * load4(Row + 4);
+    S2 += D1 * load4(Row + 8);
+    S3 += D1 * load4(Row + 12);
+    S4 += D1 * load4(Row + 16);
+    S5 += D1 * load4(Row + 20);
+    S6 += D1 * load4(Row + 24);
+    S7 += D1 * load4(Row + 28);
+  }
+  const Float4 S[] = {S0, S1, S2, S3, S4, S5, S6, S7};
+  std::memcpy(Sum, S, sizeof S);
+}
+
 /// Group body of the correlation kernel: for each J1 row of the group, the
 /// sums of up to CorrBlock items (J1, J2) advance together over I, each in
-/// corrBody's order, reading the contiguous J2 run of Data's row I.
+/// corrBody's order, reading the contiguous J2 run of Data's row I. A full
+/// block keeps its sums in vectors (corrFullBlock), a partial one in floats.
 void corrGroupBody(const Dim3 &G, const Dim3 &Local, const ArgsView &Args) {
   const float *Data = Args.bufferAs<float>(0);
   float *Corr = Args.bufferAs<float>(1);
@@ -68,12 +100,15 @@ void corrGroupBody(const Dim3 &G, const Dim3 &Local, const ArgsView &Args) {
     for (; J2 < Box.X1; J2 += CorrBlock) {
       int64_t Width = std::min(CorrBlock, Box.X1 - J2);
       float Sum[CorrBlock] = {};
-      for (int64_t I = 0; I < N; ++I) {
-        float D1 = Data[I * M + J1];
-        const float *Row = Data + I * M + J2;
-        for (int64_t K = 0; K < Width; ++K)
-          Sum[K] += D1 * Row[K];
-      }
+      if (Width == CorrBlock)
+        corrFullBlock(Data, N, M, J1, J2, Sum);
+      else
+        for (int64_t I = 0; I < N; ++I) {
+          float D1 = Data[I * M + J1];
+          const float *Row = Data + I * M + J2;
+          for (int64_t K = 0; K < Width; ++K)
+            Sum[K] += D1 * Row[K];
+        }
       for (int64_t K = 0; K < Width; ++K) {
         Corr[J1 * M + J2 + K] = Sum[K];
         Corr[(J2 + K) * M + J1] = Sum[K];

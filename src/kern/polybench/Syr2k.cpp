@@ -21,24 +21,38 @@ using namespace fcl::kern::poly;
 
 namespace {
 
-/// Work-items SYR2K's group body runs together along a row of C.
-constexpr int Syr2kBlock = 4;
-
-/// Runs items (I, J) .. (I, J + Items - 1): their rank-2 dot products over
-/// rows I of A and B side by side, each summed in the per-item body's order
-/// (Items == 1 is that body). Unrolled so the sums stay in registers at -O2
-/// too.
-template <int Items>
-void syr2kItems(const float *A, const float *B, float *C, float Alpha,
-                float Beta, int64_t N, int64_t M, int64_t I, int64_t J) {
-  float Sum[Items] = {};
-  for (int64_t L = 0; L < M; ++L)
-#pragma GCC unroll 4
-    for (int K = 0; K < Items; ++K)
-      Sum[K] += A[I * M + L] * B[(J + K) * M + L] +
-                B[I * M + L] * A[(J + K) * M + L];
-  for (int K = 0; K < Items; ++K)
-    C[I * N + J + K] = Beta * C[I * N + J + K] + Alpha * Sum[K];
+/// Runs items (I, J), I in [I0, I1) and J in [J0, J1), at most TileRows by
+/// TileItems. Each L block of the items' rows of A and of B is transposed
+/// into a tile, and each row I's sums advance over both in four vectors,
+/// one lane per item. The sums carry from block to block, so each item adds
+/// A[I][L] * B[J][L] + B[I][L] * A[J][L] in L order, as the per-item body
+/// does.
+void syr2kTile(const float *A, const float *B, float *C, float Alpha,
+               float Beta, int64_t N, int64_t M, int64_t I0, int64_t I1,
+               int64_t J0, int64_t J1) {
+  Tile TA, TB;
+  TileSums Sums = {};
+  for (int64_t L0 = 0; L0 < M; L0 += TileL) {
+    int64_t Len = std::min(TileL, M - L0);
+    transposeRows(TA, A, M, J0, J1, L0, Len);
+    transposeRows(TB, B, M, J0, J1, L0, Len);
+    for (int64_t I = I0; I < I1; ++I) {
+      const float *AI = A + I * M + L0, *BI = B + I * M + L0;
+      Float4 *S = Sums[I - I0];
+      Float4 S0 = S[0], S1 = S[1], S2 = S[2], S3 = S[3];
+      for (int64_t L = 0; L < Len; ++L) {
+        S0 += AI[L] * TB[L][0] + BI[L] * TA[L][0];
+        S1 += AI[L] * TB[L][1] + BI[L] * TA[L][1];
+        S2 += AI[L] * TB[L][2] + BI[L] * TA[L][2];
+        S3 += AI[L] * TB[L][3] + BI[L] * TA[L][3];
+      }
+      S[0] = S0;
+      S[1] = S1;
+      S[2] = S2;
+      S[3] = S3;
+    }
+  }
+  storeTileSums(C, N, Alpha, Beta, Sums, I0, I1, J0, J1);
 }
 
 } // namespace
@@ -76,13 +90,11 @@ void fcl::kern::registerSyr2kKernels(Registry &R) {
     float Beta = static_cast<float>(Args.f64(4));
     int64_t N = Args.i64(5), M = Args.i64(6);
     GroupBox Box = groupBox(G, Local, N, N);
-    for (int64_t I = Box.Y0; I < Box.Y1; ++I) {
-      int64_t J = Box.X0;
-      for (; J + Syr2kBlock <= Box.X1; J += Syr2kBlock)
-        syr2kItems<Syr2kBlock>(A, B, C, Alpha, Beta, N, M, I, J);
-      for (; J < Box.X1; ++J)
-        syr2kItems<1>(A, B, C, Alpha, Beta, N, M, I, J);
-    }
+    for (int64_t I0 = Box.Y0; I0 < Box.Y1; I0 += TileRows)
+      for (int64_t J0 = Box.X0; J0 < Box.X1; J0 += TileItems)
+        syr2kTile(A, B, C, Alpha, Beta, N, M, I0,
+                  std::min(I0 + TileRows, Box.Y1), J0,
+                  std::min(J0 + TileItems, Box.X1));
   };
   K.Cost = [](const CostQuery &Q) {
     double N = static_cast<double>(Q.Scalars[5].IntValue);

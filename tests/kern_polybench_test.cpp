@@ -326,6 +326,7 @@ TEST(PolybenchKernelTest, CorrVariantsProduceIdenticalOutput) {
 /// problem sizes (N, M): each argument's float count (0 for a scalar), each
 /// scalar's value, and the extent of the items the problem covers.
 struct GroupBodyCase {
+  int64_t N = 0, M = 0;
   std::vector<uint64_t> Floats;
   std::vector<ArgValue> Scalars;
   uint64_t Width = 0, Height = 0;
@@ -337,15 +338,17 @@ GroupBodyCase groupBodyCase(const std::string &Name, int64_t N, int64_t M) {
   uint64_t NM = N * M, NN = N * N, MM = M * M;
   uint64_t Nu = N, Mu = M;
   if (Name == "syrk_kernel")
-    return {{NM, NN, 0, 0, 0, 0}, {{}, {}, F(1.3), F(0.7), I(N), I(M)}, Nu,
-            Nu};
+    return {N, M, {NM, NN, 0, 0, 0, 0}, {{}, {}, F(1.3), F(0.7), I(N), I(M)},
+            Nu, Nu};
   if (Name == "syr2k_kernel")
-    return {{NM, NM, NN, 0, 0, 0, 0},
+    return {N,
+            M,
+            {NM, NM, NN, 0, 0, 0, 0},
             {{}, {}, {}, F(1.1), F(0.6), I(N), I(M)},
             Nu,
             Nu};
   if (Name == "corr_corr_kernel" || Name == "corr_corr_kernel_cpuopt")
-    return {{NM, MM, 0, 0}, {{}, {}, I(N), I(M)}, Mu, Mu};
+    return {N, M, {NM, MM, 0, 0}, {{}, {}, I(N), I(M)}, Mu, Mu};
   ADD_FAILURE() << Name << " has a group body but no equivalence case";
   return {};
 }
@@ -385,7 +388,8 @@ void expectGroupBodyMatchesItems(const KernelInfo &Kernel,
     EXPECT_EQ(std::memcmp(PerItem[A].data(), PerGroup[A].data(),
                           PerItem[A].size() * sizeof(float)),
               0)
-        << Kernel.Name << " argument " << A << " on " << Range.globalSize().X
+        << Kernel.Name << " argument " << A << " at N=" << Case.N
+        << " M=" << Case.M << " on " << Range.globalSize().X
         << "x" << Range.globalSize().Y << " in groups of "
         << Range.localSize().X << "x" << Range.localSize().Y << ", groups ["
         << Begin << ", " << End << ")";
@@ -408,6 +412,7 @@ TEST(KernelGroupBodyTest, MatchesPerItemBodyBitwise) {
       {45, 77, 0, 0, 32, 8},
       {40, 40, 64, 64, 32, 8}, // Wider than the problem: guarded items run.
       {45, 77, 0, 0, 128, 2},  // Rows longer than one block of CORR sums.
+      {37, 300, 0, 0, 32, 8},  // M past two SYRK/SYR2K tiles, with a tail.
   };
   uint64_t Seed = 1, Tested = 0;
   for (const std::string &Name : Reg.names()) {
